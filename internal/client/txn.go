@@ -147,8 +147,7 @@ func (tx *DTxn) uncertainErr(commitTS timestamp.Timestamp, cause error) error {
 }
 
 // Read implements kv.Txn (Alg. 11 lines 10-14): a batch of one key
-// through GetMulti, exactly as the server's single-key read handler is
-// a batch of one server-side — one read path, two entry points.
+// through GetMulti — one read path, two entry points.
 func (tx *DTxn) Read(ctx context.Context, key string) ([]byte, error) {
 	out, err := tx.GetMulti(ctx, []string{key})
 	if err != nil {
@@ -325,17 +324,17 @@ func (tx *DTxn) Write(ctx context.Context, key string, value []byte) error {
 		req = timestamp.NewSet(timestamp.Span(timestamp.Zero.Next(), timestamp.Infinity))
 		wait = true
 	}
-	resp, err := tx.writeLock(ctx, key, req, wait, value)
+	res, err := tx.writeLock(ctx, key, req, wait, value)
 	if err != nil {
 		return tx.abortErr(ctx, err)
 	}
 	tx.bufferWrite(key, value)
-	tx.writeLocked[key] = tx.writeLocked[key].Union(resp.Got)
+	tx.writeLocked[key] = tx.writeLocked[key].Union(res.Got)
 	if mode == ModeTILEarly || mode == ModeTILLate {
-		if max, ok := resp.Denied.Max(); ok && max.Time > tx.RestartHint {
+		if max, ok := res.Denied.Max(); ok && max.Time > tx.RestartHint {
 			tx.RestartHint = max.Time
 		}
-		tx.interval = tx.interval.Intersect(resp.Got)
+		tx.interval = tx.interval.Intersect(res.Got)
 		if tx.interval.IsEmpty() {
 			return tx.abortErr(ctx, fmt.Errorf("mvtil: write of %q emptied the interval", key))
 		}
@@ -343,44 +342,65 @@ func (tx *DTxn) Write(ctx context.Context, key string, value []byte) error {
 	return nil
 }
 
-// writeLock sends one write-lock request, establishing the decision
-// server on first use (§H.1: the first server reached by a write).
-func (tx *DTxn) writeLock(ctx context.Context, key string, req timestamp.Set, wait bool, value []byte) (wire.WriteLockResp, error) {
+// writeLock write-locks one key as a batch of one under the partition's
+// pinned epoch, establishing the decision server on first use (§H.1:
+// the first server reached by a write). It is called directly rather
+// than through fanOutBatches: one server needs no fan-out goroutine.
+func (tx *DTxn) writeLock(ctx context.Context, key string, req timestamp.Set, wait bool, value []byte) (wire.WriteLockResult, error) {
 	rt := tx.route(key)
-	addr := rt.addr
 	if tx.decisionSrv == "" {
-		tx.decisionSrv = addr
+		tx.decisionSrv = rt.addr
 	}
-	f, err := tx.client.callWaitable(ctx, addr, tx.id, wire.TWriteLockReq, wire.WriteLockReq{
+	f, err := tx.client.callWaitable(ctx, rt.addr, tx.id, wire.TWriteLockBatchReq, wire.WriteLockBatchReq{
 		Txn:         tx.id,
 		Epoch:       rt.epoch,
-		Key:         key,
 		DecisionSrv: tx.decisionSrv,
-		Set:         req,
 		Wait:        wait,
-		Value:       value,
+		Items:       []wire.WriteLockItem{{Key: key, Set: req, Value: value}},
 	}, wait)
+	resp, err := tx.writeLockResp(rt.addr, 1, f, err)
 	if err != nil {
-		tx.routeFail(addr)
-		return wire.WriteLockResp{}, err
+		return wire.WriteLockResult{}, err
 	}
-	resp, err := wire.DecodeWriteLockResp(f.Body())
-	f.Release() // nothing borrowed: Sets and strings are owned copies
-	if err != nil {
-		return wire.WriteLockResp{}, err
-	}
-	if resp.Status != wire.StatusOK {
-		if resp.Status == wire.StatusDeadlock {
-			return resp, fmt.Errorf("write-lock %q: %w: %s", key, kv.ErrDeadlock, resp.Err)
+	res := resp.Results[0]
+	if res.Status != wire.StatusOK {
+		if res.Status == wire.StatusDeadlock {
+			return res, fmt.Errorf("write-lock %q: %w: %s", key, kv.ErrDeadlock, res.Err)
 		}
-		if resp.Status == wire.StatusWrongEpoch {
-			tx.routeFail(addr)
-			return resp, fmt.Errorf("write-lock %q: %s: %w", key, resp.Err, errStaleRoute)
-		}
-		return resp, fmt.Errorf("write-lock %q: %s", key, resp.Err)
+		return res, fmt.Errorf("write-lock %q: %s", key, res.Err)
 	}
 	tx.touched[key] = true
-	return resp, nil
+	return res, nil
+}
+
+// writeLockResp settles one write-lock batch sent to addr for n keys:
+// it decodes and releases the response frame f (or takes the call's
+// transport error), feeds the piggybacked wait-for edges to the
+// deadlock detector, and turns a failed call, a stale-route fence, a
+// request-level failure or a short result list into an error. Per-key
+// outcomes are left to the caller.
+func (tx *DTxn) writeLockResp(addr string, n int, f *wire.FrameBuf, err error) (wire.WriteLockBatchResp, error) {
+	var resp wire.WriteLockBatchResp
+	if err == nil {
+		resp, err = wire.DecodeWriteLockBatchResp(f.Body())
+		f.Release() // nothing borrowed: Sets and strings are owned
+	}
+	if det := tx.client.det; det != nil && err == nil {
+		det.observe(addr, resp.Edges)
+	}
+	switch {
+	case err != nil:
+		// transport/codec error: the head may be gone
+		tx.routeFail(addr)
+	case resp.Status == wire.StatusWrongEpoch:
+		tx.routeFail(addr)
+		err = fmt.Errorf("write-lock batch via %s: %s: %w", addr, resp.Err, errStaleRoute)
+	case resp.Status != wire.StatusOK:
+		err = fmt.Errorf("write-lock batch via %s: %s", addr, resp.Err)
+	case len(resp.Results) != n:
+		err = fmt.Errorf("write-lock batch via %s: %d results for %d keys", addr, len(resp.Results), n)
+	}
+	return resp, err
 }
 
 func (tx *DTxn) bufferWrite(key string, value []byte) {
@@ -455,29 +475,10 @@ func (tx *DTxn) writeLockBatches(ctx context.Context, ts timestamp.Timestamp) er
 	})
 	var firstErr error
 	for _, r := range batches {
-		var resp wire.WriteLockBatchResp
-		if r.err == nil {
-			resp, r.err = wire.DecodeWriteLockBatchResp(r.fb.Body())
-			r.fb.Release() // nothing borrowed: Sets and strings are owned
-		}
-		if det := tx.client.det; det != nil && r.err == nil {
-			det.observe(r.addr, resp.Edges)
-		}
-		switch {
-		case r.err != nil:
-			// transport/codec error: the head may be gone
-			tx.routeFail(r.addr)
-		case resp.Status == wire.StatusWrongEpoch:
-			tx.routeFail(r.addr)
-			r.err = fmt.Errorf("write-lock batch via %s: %s: %w", r.addr, resp.Err, errStaleRoute)
-		case resp.Status != wire.StatusOK:
-			r.err = fmt.Errorf("write-lock batch: %s", resp.Err)
-		case len(resp.Results) != len(r.keys):
-			r.err = fmt.Errorf("write-lock batch: %d results for %d keys", len(resp.Results), len(r.keys))
-		}
-		if r.err != nil {
+		resp, err := tx.writeLockResp(r.addr, len(r.keys), r.fb, r.err)
+		if err != nil {
 			if firstErr == nil {
-				firstErr = r.err
+				firstErr = err
 			}
 			continue
 		}

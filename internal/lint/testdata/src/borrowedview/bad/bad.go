@@ -33,11 +33,11 @@ func mapStore(cache map[string][]byte, d *wire.Decoder) {
 // decodedFieldStore stores the Value field of a decoded message — a
 // view into the response frame, not a copy.
 func decodedFieldStore(e *cacheEntry, body []byte) error {
-	resp, err := wire.DecodeReadLockResp(body)
-	if err != nil {
+	resp, err := wire.DecodeReadLockBatchResp(body)
+	if err != nil || len(resp.Results) == 0 {
 		return err
 	}
-	e.val = resp.Value // want `borrowed frame view stored into struct field e.val`
+	e.val = resp.Results[0].Value // want `borrowed frame view stored into struct field e.val`
 	return nil
 }
 

@@ -52,10 +52,10 @@ func localUse(d *wire.Decoder) int {
 
 // decodedClone clones a decoded message's blob field before caching it.
 func decodedClone(cache map[string][]byte, body []byte) error {
-	resp, err := wire.DecodeReadLockResp(body)
-	if err != nil {
+	resp, err := wire.DecodeReadLockBatchResp(body)
+	if err != nil || len(resp.Results) == 0 {
 		return err
 	}
-	cache["k"] = bytes.Clone(resp.Value)
+	cache["k"] = bytes.Clone(resp.Results[0].Value)
 	return nil
 }

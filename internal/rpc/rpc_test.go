@@ -45,8 +45,16 @@ func startEcho(tb testing.TB, n transport.Network, addr string, delay time.Durat
 						time.Sleep(time.Duration(rand.Int63n(int64(delay))))
 					}
 					// The request body is borrowed; reply copies it into
-					// the response frame before the handler returns.
-					reply(f.Type()+1, wire.Raw(f.Body()))
+					// the response frame before the handler returns. An
+					// empty body is echoed as a nil message: boxing a
+					// pooled buffer's empty but non-nil body in an
+					// interface would allocate, and the zero-alloc test
+					// would then measure this handler, not the mux.
+					var body wire.Message
+					if b := f.Body(); len(b) > 0 {
+						body = wire.Raw(b)
+					}
+					reply(f.Type()+1, body)
 				}, nil)
 		}
 	}()

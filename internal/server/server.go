@@ -445,7 +445,7 @@ func (s *Server) serveConn(conn transport.Conn) {
 // freeze and then issue the next request on the same flow.
 func blocking(t wire.MsgType) bool {
 	switch t {
-	case wire.TReadLockReq, wire.TReadLockBatchReq, wire.TWriteLockReq, wire.TWriteLockBatchReq, wire.TVictimAbortReq:
+	case wire.TReadLockBatchReq, wire.TWriteLockBatchReq, wire.TVictimAbortReq:
 		return true
 	}
 	return false
@@ -453,13 +453,6 @@ func blocking(t wire.MsgType) bool {
 
 func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) {
 	switch f.Type() {
-	case wire.TReadLockReq:
-		req, err := wire.DecodeReadLockReq(f.Body())
-		if err != nil {
-			reply(wire.TReadLockResp, wire.ReadLockResp{Status: wire.StatusError, Err: err.Error()})
-			return
-		}
-		reply(wire.TReadLockResp, s.handleReadLock(req))
 	case wire.TReadLockBatchReq:
 		req, err := wire.DecodeReadLockBatchReq(f.Body())
 		if err != nil {
@@ -467,13 +460,6 @@ func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) {
 			return
 		}
 		reply(wire.TReadLockBatchResp, s.handleReadLockBatch(req))
-	case wire.TWriteLockReq:
-		req, err := wire.DecodeWriteLockReq(f.Body())
-		if err != nil {
-			reply(wire.TWriteLockResp, wire.WriteLockResp{Status: wire.StatusError, Err: err.Error()})
-			return
-		}
-		reply(wire.TWriteLockResp, s.handleWriteLock(req))
 	case wire.TWriteLockBatchReq:
 		req, err := wire.DecodeWriteLockBatchReq(f.Body())
 		if err != nil {
@@ -481,23 +467,6 @@ func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) {
 			return
 		}
 		reply(wire.TWriteLockBatchResp, s.handleWriteLockBatch(req))
-	case wire.TFreezeWriteReq:
-		req, err := wire.DecodeFreezeWriteReq(f.Body())
-		if err != nil {
-			reply(wire.TFreezeWriteResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
-			return
-		}
-		reply(wire.TFreezeWriteResp, s.handleFreezeWrite(req))
-	case wire.TFreezeReadReq:
-		req, err := wire.DecodeFreezeReadReq(f.Body())
-		if err != nil {
-			reply(wire.TFreezeReadResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
-			return
-		}
-		// Not fenced, like the freeze/release batch handlers: it only
-		// freezes read locks their owner was granted, a no-op elsewhere.
-		s.key(req.Key).locks.FreezeReadIn(lock.Owner(req.Txn), timestamp.Span(req.Lo, req.Hi))
-		reply(wire.TFreezeReadResp, wire.Ack{Status: wire.StatusOK})
 	case wire.TFreezeBatchReq:
 		req, err := wire.DecodeFreezeBatchReq(f.Body())
 		if err != nil {
@@ -505,13 +474,6 @@ func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) {
 			return
 		}
 		reply(wire.TFreezeBatchResp, s.handleFreezeBatch(req))
-	case wire.TReleaseReq:
-		req, err := wire.DecodeReleaseReq(f.Body())
-		if err != nil {
-			reply(wire.TReleaseResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
-			return
-		}
-		reply(wire.TReleaseResp, s.handleRelease(req))
 	case wire.TReleaseBatchReq:
 		req, err := wire.DecodeReleaseBatchReq(f.Body())
 		if err != nil {
@@ -580,27 +542,9 @@ func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) {
 
 // --- handlers ----------------------------------------------------------------
 
-// handleReadLock runs the server-side read step for one key: a batch of
-// one (Alg. 13, receive-read-lock-message).
-func (s *Server) handleReadLock(req wire.ReadLockReq) wire.ReadLockResp {
-	// Single-key messages predate epochs; they are stamped with the
-	// server's own, so the batch fence passes them exactly on heads.
-	batch := s.handleReadLockBatch(wire.ReadLockBatchReq{
-		Txn: req.Txn, Epoch: s.epoch.Load(), Upper: req.Upper, Wait: req.Wait, Keys: []string{req.Key},
-	})
-	if batch.Status != wire.StatusOK {
-		return wire.ReadLockResp{Status: batch.Status, Err: batch.Err}
-	}
-	r := batch.Results[0]
-	return wire.ReadLockResp{
-		Status: r.Status, Err: r.Err, VersionTS: r.VersionTS, Value: r.Value, Got: r.Got,
-		Edges: batch.Edges,
-	}
-}
-
 // handleReadLockBatch runs the read step for a transaction's whole
 // share of a static read set: per-key version pick and read-lock
-// acquisition (the batched form of handleReadLock). It touches no
+// acquisition (Alg. 13, receive-read-lock-message). It touches no
 // transaction state at all — read-lock bookkeeping lives entirely in
 // the per-key lock tables, since releases and freezes name their keys
 // explicitly.
@@ -614,7 +558,7 @@ func (s *Server) handleReadLockBatch(req wire.ReadLockBatchReq) wire.ReadLockBat
 	wait := req.Wait
 	for i, k := range req.Keys {
 		// Each key gets its own lock-wait budget, exactly as n
-		// sequential single-key reads would: one blocked key must not
+		// sequential one-key batches would: one blocked key must not
 		// starve its siblings' waits or poison their results.
 		results[i] = func() wire.ReadLockResult {
 			ctx, cancel := s.timers.WithTimeout(context.Background(), s.cfg.LockWaitTimeout)
@@ -686,22 +630,6 @@ func (s *Server) readLockKey(ctx context.Context, key string, owner lock.Owner, 
 			}
 		}
 	}
-}
-
-// handleWriteLock acquires write locks and buffers the pending value.
-func (s *Server) handleWriteLock(req wire.WriteLockReq) wire.WriteLockResp {
-	batch := s.handleWriteLockBatch(wire.WriteLockBatchReq{
-		Txn:         req.Txn,
-		Epoch:       s.epoch.Load(),
-		DecisionSrv: req.DecisionSrv,
-		Wait:        req.Wait,
-		Items:       []wire.WriteLockItem{{Key: req.Key, Set: req.Set, Value: req.Value}},
-	})
-	if batch.Status != wire.StatusOK {
-		return wire.WriteLockResp{Status: batch.Status, Err: batch.Err}
-	}
-	r := batch.Results[0]
-	return wire.WriteLockResp{Status: r.Status, Err: r.Err, Got: r.Got, Denied: r.Denied}
 }
 
 // handleWriteLockBatch acquires write locks and buffers pending values
@@ -833,17 +761,6 @@ func (s *Server) handleWriteLockBatch(req wire.WriteLockBatchReq) wire.WriteLock
 	return resp
 }
 
-// handleFreezeWrite applies a commit at req.TS for one key: install the
-// pending value, then freeze the write lock (install-before-freeze keeps
-// the frozen-implies-present invariant readers rely on).
-func (s *Server) handleFreezeWrite(req wire.FreezeWriteReq) wire.Ack {
-	resp := s.handleFreezeBatch(wire.FreezeBatchReq{Txn: req.Txn, Epoch: s.epoch.Load(), TS: req.TS, WriteKeys: []string{req.Key}})
-	if resp.Status != wire.StatusOK {
-		return wire.Ack{Status: resp.Status, Err: resp.Err}
-	}
-	return resp.WriteAcks[0]
-}
-
 // handleFreezeBatch applies a commit at req.TS across the transaction's
 // keys on this server: install every pending value and freeze its write
 // lock (install-before-freeze keeps the frozen-implies-present invariant
@@ -927,11 +844,6 @@ func (s *Server) handleFreezeBatch(req wire.FreezeBatchReq) wire.FreezeBatchResp
 		s.key(r.Key).locks.FreezeReadIn(owner, timestamp.Span(r.Lo, r.Hi))
 	}
 	return resp
-}
-
-// handleRelease drops the transaction's unfrozen locks on a key.
-func (s *Server) handleRelease(req wire.ReleaseReq) wire.Ack {
-	return s.handleReleaseBatch(wire.ReleaseBatchReq{Txn: req.Txn, Epoch: s.epoch.Load(), WritesOnly: req.WritesOnly, Keys: []string{req.Key}})
 }
 
 // handleReleaseBatch drops the transaction's unfrozen locks on every

@@ -52,6 +52,45 @@ func (c *rawClient) call(mt wire.MsgType, m wire.Message) *wire.FrameBuf {
 	return f
 }
 
+// readOne runs the read step for one key as a batch of one and returns
+// its per-key result, failing the test on a request-level error.
+func (c *rawClient) readOne(txn uint64, key string, upper timestamp.Timestamp) wire.ReadLockResult {
+	c.t.Helper()
+	f := c.call(wire.TReadLockBatchReq, wire.ReadLockBatchReq{Txn: txn, Upper: upper, Keys: []string{key}})
+	resp, err := wire.DecodeReadLockBatchResp(f.Body())
+	if err != nil || resp.Status != wire.StatusOK || len(resp.Results) != 1 {
+		c.t.Fatalf("read %q: %+v %v", key, resp, err)
+	}
+	return resp.Results[0]
+}
+
+// writeOne write-locks set on one key as a batch of one, buffering
+// value, and returns its per-key result, failing the test on a
+// request-level error.
+func (c *rawClient) writeOne(txn uint64, key string, set timestamp.Set, value []byte) wire.WriteLockResult {
+	c.t.Helper()
+	f := c.call(wire.TWriteLockBatchReq, wire.WriteLockBatchReq{
+		Txn: txn, DecisionSrv: "srv", Items: []wire.WriteLockItem{{Key: key, Set: set, Value: value}},
+	})
+	resp, err := wire.DecodeWriteLockBatchResp(f.Body())
+	if err != nil || resp.Status != wire.StatusOK || len(resp.Results) != 1 {
+		c.t.Fatalf("write-lock %q: %+v %v", key, resp, err)
+	}
+	return resp.Results[0]
+}
+
+// freezeOne commits txn's pending write on key at commitTS and returns
+// the key's ack.
+func (c *rawClient) freezeOne(txn uint64, key string, commitTS timestamp.Timestamp) wire.Ack {
+	c.t.Helper()
+	f := c.call(wire.TFreezeBatchReq, wire.FreezeBatchReq{Txn: txn, TS: commitTS, WriteKeys: []string{key}})
+	resp, err := wire.DecodeFreezeBatchResp(f.Body())
+	if err != nil || resp.Status != wire.StatusOK || len(resp.WriteAcks) != 1 {
+		c.t.Fatalf("freeze %q: %+v %v", key, resp, err)
+	}
+	return resp.WriteAcks[0]
+}
+
 func startServer(t *testing.T, wlTimeout time.Duration) (*server.Server, *transport.Mem) {
 	t.Helper()
 	n := transport.NewMem(transport.LatencyModel{})
@@ -74,11 +113,7 @@ func ts(v int64) timestamp.Timestamp { return timestamp.New(v, 0) }
 func TestServerReadFreshKey(t *testing.T) {
 	_, n := startServer(t, time.Minute)
 	c := dialRaw(t, n, "srv")
-	f := c.call(wire.TReadLockReq, wire.ReadLockReq{Txn: 1, Key: "x", Upper: ts(100), Wait: false})
-	resp, err := wire.DecodeReadLockResp(f.Body())
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := c.readOne(1, "x", ts(100))
 	if resp.Status != wire.StatusOK || resp.Value != nil || resp.VersionTS != timestamp.Zero {
 		t.Fatalf("%+v", resp)
 	}
@@ -92,47 +127,40 @@ func TestServerWriteLockFreezeReadBack(t *testing.T) {
 	c := dialRaw(t, n, "srv")
 
 	set := timestamp.NewSet(timestamp.Span(ts(10), ts(20)))
-	f := c.call(wire.TWriteLockReq, wire.WriteLockReq{
-		Txn: 1, Key: "x", DecisionSrv: "srv", Set: set, Value: []byte("v1"),
-	})
-	wresp, err := wire.DecodeWriteLockResp(f.Body())
-	if err != nil || wresp.Status != wire.StatusOK || !wresp.Got.Equal(set) {
-		t.Fatalf("%+v %v", wresp, err)
+	wresp := c.writeOne(1, "x", set, []byte("v1"))
+	if wresp.Status != wire.StatusOK || !wresp.Got.Equal(set) {
+		t.Fatalf("%+v", wresp)
 	}
 
 	// Commit at 15: decide, then freeze.
-	f = c.call(wire.TDecideReq, wire.DecideReq{Txn: 1, Proposal: wire.DecideCommit, TS: ts(15)})
+	f := c.call(wire.TDecideReq, wire.DecideReq{Txn: 1, Proposal: wire.DecideCommit, TS: ts(15)})
 	dresp, err := wire.DecodeDecideResp(f.Body())
 	if err != nil || dresp.Kind != wire.DecideCommit {
 		t.Fatalf("%+v %v", dresp, err)
 	}
-	f = c.call(wire.TFreezeWriteReq, wire.FreezeWriteReq{Txn: 1, Key: "x", TS: ts(15)})
-	if ack, err := wire.DecodeAck(f.Body()); err != nil || ack.Status != wire.StatusOK {
-		t.Fatalf("%+v %v", ack, err)
+	if ack := c.freezeOne(1, "x", ts(15)); ack.Status != wire.StatusOK {
+		t.Fatalf("%+v", ack)
 	}
 	// Release leftover locks.
-	c.call(wire.TReleaseReq, wire.ReleaseReq{Txn: 1, Key: "x"})
+	c.call(wire.TReleaseBatchReq, wire.ReleaseBatchReq{Txn: 1, Keys: []string{"x"}})
 
 	// A later reader sees the committed value.
-	f = c.call(wire.TReadLockReq, wire.ReadLockReq{Txn: 2, Key: "x", Upper: ts(100)})
-	rresp, err := wire.DecodeReadLockResp(f.Body())
-	if err != nil || rresp.Status != wire.StatusOK {
-		t.Fatalf("%+v %v", rresp, err)
+	rresp := c.readOne(2, "x", ts(100))
+	if rresp.Status != wire.StatusOK {
+		t.Fatalf("%+v", rresp)
 	}
 	if string(rresp.Value) != "v1" || rresp.VersionTS != ts(15) {
 		t.Fatalf("value %q at %v", rresp.Value, rresp.VersionTS)
 	}
 }
 
+// TestServerFreezeWithoutPendingFails checks freeze misuse: the batch
+// itself succeeds (freezeOne asserts that) and the failure is reported
+// in the key's ack.
 func TestServerFreezeWithoutPendingFails(t *testing.T) {
 	_, n := startServer(t, time.Minute)
 	c := dialRaw(t, n, "srv")
-	f := c.call(wire.TFreezeWriteReq, wire.FreezeWriteReq{Txn: 9, Key: "x", TS: ts(5)})
-	ack, err := wire.DecodeAck(f.Body())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Status == wire.StatusOK {
+	if ack := c.freezeOne(9, "x", ts(5)); ack.Status == wire.StatusOK {
 		t.Fatal("freeze without a pending write must fail")
 	}
 }
@@ -141,15 +169,11 @@ func TestServerWriteConflictStatus(t *testing.T) {
 	_, n := startServer(t, time.Minute)
 	c := dialRaw(t, n, "srv")
 	set := timestamp.NewSet(timestamp.Point(ts(5)))
-	c.call(wire.TWriteLockReq, wire.WriteLockReq{Txn: 1, Key: "x", Set: set, Value: []byte("a")})
+	c.writeOne(1, "x", set, []byte("a"))
 	// Exact conflicting request from another txn, no wait, no partial
 	// fallback server-side: server always acquires partially, so Got is
 	// empty and Denied covers the point.
-	f := c.call(wire.TWriteLockReq, wire.WriteLockReq{Txn: 2, Key: "x", Set: set, Value: []byte("b")})
-	resp, err := wire.DecodeWriteLockResp(f.Body())
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := c.writeOne(2, "x", set, []byte("b"))
 	if !resp.Got.IsEmpty() || !resp.Denied.Contains(ts(5)) {
 		t.Fatalf("%+v", resp)
 	}
@@ -159,22 +183,23 @@ func TestServerSuspectsDeadCoordinator(t *testing.T) {
 	_, n := startServer(t, 150*time.Millisecond)
 	c := dialRaw(t, n, "srv")
 	set := timestamp.NewSet(timestamp.Span(ts(10), ts(20)))
-	c.call(wire.TWriteLockReq, wire.WriteLockReq{
-		Txn: 7, Key: "x", DecisionSrv: "srv", Set: set, Value: []byte("doomed"),
-	})
+	c.writeOne(7, "x", set, []byte("doomed"))
 	// Coordinator goes silent. The suspicion scanner must abort txn 7
 	// and release its locks.
 	deadline := time.Now().Add(3 * time.Second)
 	other := dialRaw(t, n, "srv")
 	for {
-		f := other.call(wire.TWriteLockReq, wire.WriteLockReq{
-			Txn: 8, Key: "x", DecisionSrv: "srv", Set: set, Value: []byte("winner"),
+		// Not writeOne: the scanner may decide txn 8 too, and a
+		// request-level refusal is one more reason to retry.
+		f := other.call(wire.TWriteLockBatchReq, wire.WriteLockBatchReq{
+			Txn: 8, DecisionSrv: "srv", Items: []wire.WriteLockItem{{Key: "x", Set: set, Value: []byte("winner")}},
 		})
-		resp, err := wire.DecodeWriteLockResp(f.Body())
+		resp, err := wire.DecodeWriteLockBatchResp(f.Body())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Status == wire.StatusOK && resp.Got.Equal(set) {
+		if resp.Status == wire.StatusOK && len(resp.Results) == 1 &&
+			resp.Results[0].Status == wire.StatusOK && resp.Results[0].Got.Equal(set) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -201,9 +226,9 @@ func TestServerPurgeAndStats(t *testing.T) {
 	for i, v := range []int64{10, 20, 30} {
 		txn := uint64(i + 1)
 		set := timestamp.NewSet(timestamp.Point(ts(v)))
-		c.call(wire.TWriteLockReq, wire.WriteLockReq{Txn: txn, Key: "x", DecisionSrv: "srv", Set: set, Value: []byte{byte(v)}})
+		c.writeOne(txn, "x", set, []byte{byte(v)})
 		c.call(wire.TDecideReq, wire.DecideReq{Txn: txn, Proposal: wire.DecideCommit, TS: ts(v)})
-		c.call(wire.TFreezeWriteReq, wire.FreezeWriteReq{Txn: txn, Key: "x", TS: ts(v)})
+		c.freezeOne(txn, "x", ts(v))
 	}
 	f := c.call(wire.TStatsReq, nil)
 	st, err := wire.DecodeStatsResp(f.Body())
@@ -226,8 +251,8 @@ func TestServerPurgeAndStats(t *testing.T) {
 func TestServerMalformedFrame(t *testing.T) {
 	_, n := startServer(t, time.Minute)
 	c := dialRaw(t, n, "srv")
-	f := c.call(wire.TReadLockReq, wire.Raw{1, 2, 3})
-	resp, err := wire.DecodeReadLockResp(f.Body())
+	f := c.call(wire.TReadLockBatchReq, wire.Raw{1, 2, 3})
+	resp, err := wire.DecodeReadLockBatchResp(f.Body())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,9 +271,9 @@ func TestServerConcurrentRequestsOneConn(t *testing.T) {
 	// Issue 20 interleaved reads without waiting for responses, then
 	// collect: the per-request goroutines must answer all of them.
 	for i := uint64(1); i <= 20; i++ {
-		req := wire.ReadLockReq{Txn: i, Key: "k", Upper: ts(int64(100 + i))}
+		req := wire.ReadLockBatchReq{Txn: i, Upper: ts(int64(100 + i)), Keys: []string{"k"}}
 		fb := wire.GetFrameBuf()
-		if err := fb.SetFrame(i, wire.TReadLockReq, req); err != nil {
+		if err := fb.SetFrame(i, wire.TReadLockBatchReq, req); err != nil {
 			t.Fatal(err)
 		}
 		if err := conn.Send(fb); err != nil {
@@ -280,14 +305,10 @@ func TestServerCommittedReleaseInstallsLostFreeze(t *testing.T) {
 	c := dialRaw(t, n, "srv")
 
 	set := timestamp.NewSet(timestamp.Span(ts(10), ts(20)))
-	f := c.call(wire.TWriteLockReq, wire.WriteLockReq{
-		Txn: 1, Key: "x", DecisionSrv: "srv", Set: set, Value: []byte("v1"),
-	})
-	wresp, err := wire.DecodeWriteLockResp(f.Body())
-	if err != nil || wresp.Status != wire.StatusOK {
-		t.Fatalf("%+v %v", wresp, err)
+	if wresp := c.writeOne(1, "x", set, []byte("v1")); wresp.Status != wire.StatusOK {
+		t.Fatalf("%+v", wresp)
 	}
-	f = c.call(wire.TDecideReq, wire.DecideReq{Txn: 1, Proposal: wire.DecideCommit, TS: ts(15)})
+	f := c.call(wire.TDecideReq, wire.DecideReq{Txn: 1, Proposal: wire.DecideCommit, TS: ts(15)})
 	if dresp, err := wire.DecodeDecideResp(f.Body()); err != nil || dresp.Kind != wire.DecideCommit {
 		t.Fatalf("%+v %v", dresp, err)
 	}
@@ -300,22 +321,20 @@ func TestServerCommittedReleaseInstallsLostFreeze(t *testing.T) {
 		t.Fatalf("%+v %v", ack, err)
 	}
 	// The committed value must be readable, not dropped.
-	f = c.call(wire.TReadLockReq, wire.ReadLockReq{Txn: 2, Key: "x", Upper: ts(100)})
-	rresp, err := wire.DecodeReadLockResp(f.Body())
-	if err != nil || rresp.Status != wire.StatusOK {
-		t.Fatalf("%+v %v", rresp, err)
+	rresp := c.readOne(2, "x", ts(100))
+	if rresp.Status != wire.StatusOK {
+		t.Fatalf("%+v", rresp)
 	}
 	if string(rresp.Value) != "v1" || rresp.VersionTS != ts(15) {
 		t.Fatalf("committed write lost: value %q at %v, want \"v1\" at %v", rresp.Value, rresp.VersionTS, ts(15))
 	}
 	// An uncommitted release (the abort path) still drops pending writes.
 	set2 := timestamp.NewSet(timestamp.Span(ts(30), ts(40)))
-	c.call(wire.TWriteLockReq, wire.WriteLockReq{Txn: 3, Key: "y", DecisionSrv: "srv", Set: set2, Value: []byte("v2")})
+	c.writeOne(3, "y", set2, []byte("v2"))
 	c.call(wire.TReleaseBatchReq, wire.ReleaseBatchReq{Txn: 3, Keys: []string{"y"}})
-	f = c.call(wire.TReadLockReq, wire.ReadLockReq{Txn: 4, Key: "y", Upper: ts(100)})
-	rresp, err = wire.DecodeReadLockResp(f.Body())
-	if err != nil || rresp.Status != wire.StatusOK {
-		t.Fatalf("%+v %v", rresp, err)
+	rresp = c.readOne(4, "y", ts(100))
+	if rresp.Status != wire.StatusOK {
+		t.Fatalf("%+v", rresp)
 	}
 	if len(rresp.Value) != 0 || rresp.VersionTS != timestamp.Zero {
 		t.Fatalf("aborted write leaked: value %q at %v", rresp.Value, rresp.VersionTS)

@@ -20,10 +20,10 @@ import (
 // TestBatchedCommitAgainstSingleKeyRequests hammers the same small key
 // space from two coordinator populations at once: timestamp-ordering
 // clients whose commits travel as per-server write-lock/freeze/release
-// batches, and MVTIL clients whose write path issues single-key
-// requests. Run with -race this exercises the striped key/txn shards
-// and both protocol generations against each other; the recorded
-// history must stay serializable.
+// batches, and MVTIL clients whose interactive writes each send a
+// write-lock batch of one key. Run with -race this exercises the
+// striped key/txn shards and both request shapes against each other;
+// the recorded history must stay serializable.
 func TestBatchedCommitAgainstSingleKeyRequests(t *testing.T) {
 	n := transport.NewMem(transport.LatencyModel{})
 	const servers = 3
@@ -125,7 +125,7 @@ func TestServerWriteLockBatch(t *testing.T) {
 
 	// Txn 1 pre-locks key "b" at 5 so the batch below partially fails.
 	pre := timestamp.NewSet(timestamp.Point(ts(5)))
-	c.call(wire.TWriteLockReq, wire.WriteLockReq{Txn: 1, Key: "b", Set: pre, Value: []byte("pre")})
+	c.writeOne(1, "b", pre, []byte("pre"))
 
 	set := timestamp.NewSet(timestamp.Span(ts(1), ts(10)))
 	f := c.call(wire.TWriteLockBatchReq, wire.WriteLockBatchReq{
@@ -172,10 +172,9 @@ func TestServerWriteLockBatch(t *testing.T) {
 
 	// A later reader observes the batched commit on every key.
 	for _, k := range []string{"a", "c"} {
-		f = c.call(wire.TReadLockReq, wire.ReadLockReq{Txn: 9, Key: k, Upper: ts(100)})
-		rresp, err := wire.DecodeReadLockResp(f.Body())
-		if err != nil || rresp.Status != wire.StatusOK {
-			t.Fatalf("%+v %v", rresp, err)
+		rresp := c.readOne(9, k, ts(100))
+		if rresp.Status != wire.StatusOK {
+			t.Fatalf("%+v", rresp)
 		}
 		if rresp.VersionTS != ts(7) || string(rresp.Value) != "v"+k {
 			t.Fatalf("read %q: value %q at %v", k, rresp.Value, rresp.VersionTS)
@@ -183,44 +182,26 @@ func TestServerWriteLockBatch(t *testing.T) {
 	}
 }
 
-// TestServerFreezeBatchWithoutPendingFails mirrors the single-key freeze
-// misuse test for the batched handler.
+// TestServerFreezeBatchWithoutPendingFails checks that a freeze of a
+// key with no pending write fails that key's ack only: a sibling key
+// whose write lock and pending value are in place still commits.
 func TestServerFreezeBatchWithoutPendingFails(t *testing.T) {
 	_, n := startServer(t, time.Minute)
 	c := dialRaw(t, n, "srv")
-	f := c.call(wire.TFreezeBatchReq, wire.FreezeBatchReq{Txn: 42, TS: ts(5), WriteKeys: []string{"x"}})
+	c.writeOne(42, "a", timestamp.NewSet(timestamp.Span(ts(1), ts(10))), []byte("va"))
+	f := c.call(wire.TFreezeBatchReq, wire.FreezeBatchReq{Txn: 42, TS: ts(5), WriteKeys: []string{"a", "x"}})
 	resp, err := wire.DecodeFreezeBatchResp(f.Body())
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || resp.Status != wire.StatusOK || len(resp.WriteAcks) != 2 {
+		t.Fatalf("%+v %v", resp, err)
 	}
-	if len(resp.WriteAcks) != 1 || resp.WriteAcks[0].Status == wire.StatusOK {
-		t.Fatalf("freeze without a pending write must fail per key: %+v", resp)
+	if resp.WriteAcks[0].Status != wire.StatusOK {
+		t.Fatalf("pending key poisoned by its sibling: %+v", resp.WriteAcks[0])
 	}
-}
-
-// TestServerBatchOfOneMatchesSingleKey checks the degenerate batch: a
-// batch of size one behaves exactly like the legacy single-key message.
-func TestServerBatchOfOneMatchesSingleKey(t *testing.T) {
-	_, n := startServer(t, time.Minute)
-	c := dialRaw(t, n, "srv")
-	set := timestamp.NewSet(timestamp.Span(ts(10), ts(20)))
-
-	f := c.call(wire.TWriteLockBatchReq, wire.WriteLockBatchReq{
-		Txn: 1, DecisionSrv: "srv",
-		Items: []wire.WriteLockItem{{Key: "x", Set: set, Value: []byte("v1")}},
-	})
-	bresp, err := wire.DecodeWriteLockBatchResp(f.Body())
-	if err != nil || bresp.Status != wire.StatusOK || len(bresp.Results) != 1 || !bresp.Results[0].Got.Equal(set) {
-		t.Fatalf("%+v %v", bresp, err)
+	if resp.WriteAcks[1].Status == wire.StatusOK {
+		t.Fatalf("freeze without a pending write must fail per key: %+v", resp.WriteAcks[1])
 	}
-
-	f = c.call(wire.TWriteLockReq, wire.WriteLockReq{Txn: 2, Key: "x", Set: set, Value: []byte("v2")})
-	sresp, err := wire.DecodeWriteLockResp(f.Body())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sresp.Got.IsEmpty() || !sresp.Denied.Equal(set) {
-		t.Fatalf("single-key request against batch-held locks: %+v", sresp)
+	if r := c.readOne(9, "a", ts(100)); r.Status != wire.StatusOK || r.VersionTS != ts(5) || string(r.Value) != "va" {
+		t.Fatalf("sibling commit lost: %+v", r)
 	}
 }
 
@@ -266,9 +247,7 @@ func TestServerReadLockBatch(t *testing.T) {
 
 	// Txn 2 holds an unfrozen write lock on "hot": a waiting batch
 	// containing it times out on that key only; the other key settles.
-	c.call(wire.TWriteLockReq, wire.WriteLockReq{
-		Txn: 2, Key: "hot", DecisionSrv: "srv", Set: set, Value: []byte("wip"),
-	})
+	c.writeOne(2, "hot", set, []byte("wip"))
 	f = c.call(wire.TReadLockBatchReq, wire.ReadLockBatchReq{
 		Txn: 9, Upper: ts(8), Wait: true, Keys: []string{"hot", "a"},
 	})

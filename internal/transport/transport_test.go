@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/wire"
 )
 
@@ -170,24 +171,23 @@ func TestMemDialBlocksOnFullBacklog(t *testing.T) {
 // TestMemSeededDeterminism checks the per-link seed discipline: the
 // delay schedule of a link depends only on (network seed, address, dial
 // index), so interleaving dials to other addresses does not perturb it.
+// The network runs on a virtual timeline, so delivery times are exact
+// and independent of how loaded the machine is.
 func TestMemSeededDeterminism(t *testing.T) {
 	// sample dials "target" and returns the inter-arrival schedule of
 	// one 20-frame burst; extraDials dials unrelated addresses first.
 	sample := func(seed int64, extraDials int) []time.Duration {
-		n := NewMemSeeded(LatencyModel{Base: time.Millisecond, Jitter: 30 * time.Millisecond}, seed)
+		v := clock.NewVirtual()
+		v.Register()
+		defer v.Unregister()
+		n := NewMemSeededTimers(LatencyModel{Base: time.Millisecond, Jitter: 30 * time.Millisecond}, seed, v)
 		for _, addr := range []string{"other-a", "other-b"} {
+			// The dials below fit in the listener backlog: no acceptor.
 			l, err := n.Listen(addr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer l.Close()
-			go func() {
-				for {
-					if _, err := l.Accept(); err != nil {
-						return
-					}
-				}
-			}()
 		}
 		for i := 0; i < extraDials; i++ {
 			if _, err := n.Dial([]string{"other-a", "other-b"}[i%2]); err != nil {
@@ -208,7 +208,7 @@ func TestMemSeededDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		const frames = 20
-		start := time.Now()
+		start := v.Now()
 		for i := 0; i < frames; i++ {
 			sendFrame(t, c, uint64(i+1), 1, nil)
 		}
@@ -219,7 +219,7 @@ func TestMemSeededDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			f.Release()
-			at = append(at, time.Since(start))
+			at = append(at, v.Now().Sub(start))
 		}
 		_ = c.Close()
 		return at
@@ -227,15 +227,8 @@ func TestMemSeededDeterminism(t *testing.T) {
 
 	base := sample(7, 0)
 	perturbed := sample(7, 5)
-	// Delivery times are wall-clock so exact equality is not testable;
-	// but the sampled jitter sequence is, via the FIFO delivery floor:
-	// compare coarse schedules with a generous tolerance.
 	for i := range base {
-		d := base[i] - perturbed[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > 10*time.Millisecond {
+		if base[i] != perturbed[i] {
 			t.Fatalf("frame %d: schedule diverged (%v vs %v) — dial order perturbs the link's jitter stream", i, base[i], perturbed[i])
 		}
 	}
@@ -258,21 +251,27 @@ func TestMemSeededDeterminism(t *testing.T) {
 // TestTCPReadTimeout checks that a silent peer trips the configured
 // read deadline as ErrTimeout instead of hanging Recv forever.
 func TestTCPReadTimeout(t *testing.T) {
-	n := TCP{ReadTimeout: 50 * time.Millisecond}
-	l, err := n.Listen("127.0.0.1:0")
+	// The listener has no read timeout of its own: the only deadline in
+	// play is the dialer's, so it cannot race an acceptor that gives up
+	// at the same moment and closes the connection (EOF, not a timeout).
+	l, err := TCP{}.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	// Hold the accepted connection open, never sending, until the
+	// dialer's Recv has returned.
+	recvDone := make(chan struct{})
+	defer close(recvDone)
 	go func() {
 		c, err := l.Accept()
 		if err != nil {
 			return
 		}
-		defer c.Close()
-		// Never send: the dialer's Recv must time out.
-		_, _ = c.Recv()
+		<-recvDone
+		_ = c.Close()
 	}()
+	n := TCP{ReadTimeout: 50 * time.Millisecond}
 	c, err := n.Dial(l.Addr())
 	if err != nil {
 		t.Fatal(err)

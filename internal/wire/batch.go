@@ -9,9 +9,9 @@ import (
 // Batch messages carry a transaction's whole per-server footprint in one
 // frame, so that a commit or abort costs O(servers) round trips instead
 // of O(keys) (§7: the coordinator groups Alg. 11's per-key messages by
-// the server owning each key). Servers answer with per-key sub-results;
-// a batch of size one is exactly equivalent to the corresponding
-// single-key message, which remains supported.
+// the server owning each key). Servers answer with per-key sub-results.
+// They are the only lock, freeze and release messages: a single-key
+// step, such as an interactive write, is a batch of one.
 
 // WriteLockItem is one key of a WriteLockBatchReq: the requested lock
 // set and the pending value to buffer.
@@ -21,11 +21,14 @@ type WriteLockItem struct {
 	Value []byte
 }
 
-// WriteLockBatchReq asks the server to write-lock every listed key for
-// the transaction in one pass (the batched form of WriteLockReq).
+// WriteLockBatchReq asks the server to write-lock a subset of each
+// listed key's Set for the transaction and buffer its Value as the
+// pending write, all in one pass (Alg. 13, receive-write-lock-message).
 // DecisionSrv names the server hosting the transaction's commitment
-// object, as in WriteLockReq; Epoch is the coordinator's cached
-// membership epoch (0 on unreplicated clusters).
+// object, so that a timeout on this server can reach consensus on
+// aborting (§H.1). Epoch is the coordinator's pinned membership epoch
+// for the partition (0 on unreplicated clusters); a mismatch is
+// answered with StatusWrongEpoch.
 type WriteLockBatchReq struct {
 	Txn         uint64
 	Epoch       uint64
@@ -61,8 +64,8 @@ func DecodeWriteLockBatchReq(b []byte) (WriteLockBatchReq, error) {
 	return m, d.Err()
 }
 
-// WriteLockResult is the per-key outcome of a batch write-lock, with the
-// same fields as WriteLockResp.
+// WriteLockResult is the per-key outcome of a batch write-lock: the
+// acquired and denied subsets of the requested set.
 type WriteLockResult struct {
 	Status Status
 	Err    string
@@ -113,7 +116,8 @@ func DecodeWriteLockBatchResp(b []byte) (WriteLockBatchResp, error) {
 	return m, d.Err()
 }
 
-// FreezeReadItem is one read-lock range to freeze, as in FreezeReadReq.
+// FreezeReadItem is one read-lock range [Lo, Hi] to freeze (garbage
+// collection, Alg. 11 line 33).
 type FreezeReadItem struct {
 	Key    string
 	Lo, Hi timestamp.Timestamp
@@ -121,8 +125,9 @@ type FreezeReadItem struct {
 
 // FreezeBatchReq applies a commit decision to this server's share of the
 // footprint in one pass: freeze the write locks of WriteKeys at TS
-// (installing the pending values first), and freeze the read-lock ranges
-// of Reads (the batched form of FreezeWriteReq plus FreezeReadReq).
+// (installing the pending values first; Alg. 13,
+// receive-freeze-write-lock-message), and freeze the read-lock ranges
+// of Reads.
 type FreezeBatchReq struct {
 	Txn       uint64
 	Epoch     uint64
@@ -192,8 +197,8 @@ func DecodeFreezeBatchResp(b []byte) (FreezeBatchResp, error) {
 	return m, d.Err()
 }
 
-// ReleaseBatchReq releases the transaction's unfrozen locks on every
-// listed key in one pass (the batched form of ReleaseReq). When
+// ReleaseBatchReq releases the transaction's unfrozen locks (all of
+// them, or only write locks) on every listed key in one pass. When
 // Committed is set, the sender is a coordinator whose transaction
 // decided commit at TS: freezes and releases are both casts, so a
 // dropped freeze followed by a delivered release would otherwise make
@@ -232,7 +237,7 @@ func DecodeReleaseBatchReq(b []byte) (ReleaseBatchReq, error) {
 }
 
 // ReadLockBatchReq asks the server to perform the read step for every
-// listed key in one pass (the batched form of ReadLockReq): per key,
+// listed key in one pass (Alg. 13, receive-read-lock-message): per key,
 // pick the latest committed version below Upper, read-lock from just
 // above it toward Upper (waiting on unfrozen write locks if Wait), and
 // return the version and the locked interval. Upper and Wait are shared
@@ -264,9 +269,9 @@ func DecodeReadLockBatchReq(b []byte) (ReadLockBatchReq, error) {
 	return m, d.Err()
 }
 
-// ReadLockResult is the per-key outcome of a batch read, with the same
-// fields as ReadLockResp (minus the piggybacked edges, which are
-// batch-level).
+// ReadLockResult is the per-key outcome of a batch read: the version
+// read, its value, and the read-locked interval [VersionTS+1, ...],
+// which may be empty.
 type ReadLockResult struct {
 	Status    Status
 	Err       string

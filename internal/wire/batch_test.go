@@ -67,61 +67,6 @@ type codecCase struct {
 }
 
 var codecCases = map[string]func(r *rand.Rand) codecCase{
-	"ReadLockReq": func(r *rand.Rand) codecCase {
-		in := ReadLockReq{Txn: r.Uint64(), Key: randWord(r), Upper: randTS(r), Wait: r.Intn(2) == 0}
-		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeReadLockReq(b)
-			return out == in, err
-		}}
-	},
-	"ReadLockResp": func(r *rand.Rand) codecCase {
-		in := ReadLockResp{Status: randStatus(r), Err: randWord(r), VersionTS: randTS(r), Value: randBlob(r), Got: randIv(r), Edges: randEdges(r)}
-		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeReadLockResp(b)
-			ok := out.Status == in.Status && out.Err == in.Err && out.VersionTS == in.VersionTS &&
-				bytes.Equal(out.Value, in.Value) && (out.Value == nil) == (in.Value == nil) && out.Got == in.Got &&
-				slices.Equal(out.Edges, in.Edges)
-			return ok, err
-		}}
-	},
-	"WriteLockReq": func(r *rand.Rand) codecCase {
-		in := WriteLockReq{Txn: r.Uint64(), Epoch: r.Uint64(), Key: randWord(r), DecisionSrv: randWord(r), Set: randTSSet(r), Wait: r.Intn(2) == 0, Value: randBlob(r)}
-		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeWriteLockReq(b)
-			ok := out.Txn == in.Txn && out.Epoch == in.Epoch && out.Key == in.Key && out.DecisionSrv == in.DecisionSrv &&
-				out.Set.Equal(in.Set) && out.Wait == in.Wait && bytes.Equal(out.Value, in.Value)
-			return ok, err
-		}}
-	},
-	"WriteLockResp": func(r *rand.Rand) codecCase {
-		in := WriteLockResp{Status: randStatus(r), Err: randWord(r), Got: randTSSet(r), Denied: randTSSet(r)}
-		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeWriteLockResp(b)
-			ok := out.Status == in.Status && out.Err == in.Err && out.Got.Equal(in.Got) && out.Denied.Equal(in.Denied)
-			return ok, err
-		}}
-	},
-	"FreezeWriteReq": func(r *rand.Rand) codecCase {
-		in := FreezeWriteReq{Txn: r.Uint64(), Key: randWord(r), TS: randTS(r)}
-		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeFreezeWriteReq(b)
-			return out == in, err
-		}}
-	},
-	"FreezeReadReq": func(r *rand.Rand) codecCase {
-		in := FreezeReadReq{Txn: r.Uint64(), Key: randWord(r), Lo: randTS(r), Hi: randTS(r)}
-		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeFreezeReadReq(b)
-			return out == in, err
-		}}
-	},
-	"ReleaseReq": func(r *rand.Rand) codecCase {
-		in := ReleaseReq{Txn: r.Uint64(), Key: randWord(r), WritesOnly: r.Intn(2) == 0}
-		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
-			out, err := DecodeReleaseReq(b)
-			return out == in, err
-		}}
-	},
 	"Ack": func(r *rand.Rand) codecCase {
 		in := randAck(r)
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {

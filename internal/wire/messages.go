@@ -37,229 +37,6 @@ const (
 	StatusWrongEpoch
 )
 
-// ReadLockReq asks the server to perform the read step for a key: pick
-// the latest committed version below Upper, read-lock from just above it
-// toward Upper (waiting on unfrozen write locks if Wait), and return the
-// version and the locked interval (Alg. 13, receive-read-lock-message).
-type ReadLockReq struct {
-	Txn   uint64
-	Key   string
-	Upper timestamp.Timestamp
-	Wait  bool
-}
-
-// AppendTo implements Message.
-func (m ReadLockReq) AppendTo(buf []byte) []byte {
-	e := Encoder{buf: buf}
-	e.U64(m.Txn)
-	e.Str(m.Key)
-	e.TS(m.Upper)
-	e.Bool(m.Wait)
-	return e.buf
-}
-
-// DecodeReadLockReq deserializes a ReadLockReq.
-func DecodeReadLockReq(b []byte) (ReadLockReq, error) {
-	d := NewDecoder(b)
-	m := ReadLockReq{Txn: d.U64(), Key: d.Str(), Upper: d.TS(), Wait: d.Bool()}
-	return m, d.Err()
-}
-
-// ReadLockResp answers a ReadLockReq.
-type ReadLockResp struct {
-	Status    Status
-	Err       string
-	VersionTS timestamp.Timestamp
-	Value     []byte
-	// Got is the read-locked interval [VersionTS+1, ...]; may be empty.
-	Got timestamp.Interval
-	// Edges piggybacks the server's local wait-for edges on blocked or
-	// conflicted reads, feeding the coordinator's cross-server deadlock
-	// detector without an extra round trip.
-	Edges []WaitEdge
-}
-
-// AppendTo implements Message.
-func (m ReadLockResp) AppendTo(buf []byte) []byte {
-	e := Encoder{buf: buf}
-	e.buf = append(e.buf, byte(m.Status))
-	e.Str(m.Err)
-	e.TS(m.VersionTS)
-	e.Blob(m.Value)
-	e.Interval(m.Got)
-	e.Edges(m.Edges)
-	return e.buf
-}
-
-// DecodeReadLockResp deserializes a ReadLockResp.
-func DecodeReadLockResp(b []byte) (ReadLockResp, error) {
-	d := NewDecoder(b)
-	var m ReadLockResp
-	st := d.take(1)
-	if st != nil {
-		m.Status = Status(st[0])
-	}
-	m.Err = d.Str()
-	m.VersionTS = d.TS()
-	m.Value = d.Blob()
-	m.Got = d.Interval()
-	m.Edges = d.Edges()
-	return m, d.Err()
-}
-
-// WriteLockReq asks the server to write-lock a subset of Set for the
-// transaction and buffer Value as the pending write (Alg. 13,
-// receive-write-lock-message). DecisionSrv names the server hosting the
-// transaction's commitment object, so that a timeout on this server can
-// reach consensus on aborting (§H.1). Epoch is the coordinator's cached
-// membership epoch for the partition (0 on unreplicated clusters); a
-// mismatch is answered with StatusWrongEpoch.
-type WriteLockReq struct {
-	Txn         uint64
-	Epoch       uint64
-	Key         string
-	DecisionSrv string
-	Set         timestamp.Set
-	Wait        bool
-	Value       []byte
-}
-
-// AppendTo implements Message.
-func (m WriteLockReq) AppendTo(buf []byte) []byte {
-	e := Encoder{buf: buf}
-	e.U64(m.Txn)
-	e.U64(m.Epoch)
-	e.Str(m.Key)
-	e.Str(m.DecisionSrv)
-	e.Set(m.Set)
-	e.Bool(m.Wait)
-	e.Blob(m.Value)
-	return e.buf
-}
-
-// DecodeWriteLockReq deserializes a WriteLockReq.
-func DecodeWriteLockReq(b []byte) (WriteLockReq, error) {
-	d := NewDecoder(b)
-	m := WriteLockReq{
-		Txn:         d.U64(),
-		Epoch:       d.U64(),
-		Key:         d.Str(),
-		DecisionSrv: d.Str(),
-		Set:         d.Set(),
-		Wait:        d.Bool(),
-		Value:       d.Blob(),
-	}
-	return m, d.Err()
-}
-
-// WriteLockResp answers a WriteLockReq with the acquired and denied
-// subsets.
-type WriteLockResp struct {
-	Status Status
-	Err    string
-	Got    timestamp.Set
-	Denied timestamp.Set
-}
-
-// AppendTo implements Message.
-func (m WriteLockResp) AppendTo(buf []byte) []byte {
-	e := Encoder{buf: buf}
-	e.buf = append(e.buf, byte(m.Status))
-	e.Str(m.Err)
-	e.Set(m.Got)
-	e.Set(m.Denied)
-	return e.buf
-}
-
-// DecodeWriteLockResp deserializes a WriteLockResp.
-func DecodeWriteLockResp(b []byte) (WriteLockResp, error) {
-	d := NewDecoder(b)
-	var m WriteLockResp
-	st := d.take(1)
-	if st != nil {
-		m.Status = Status(st[0])
-	}
-	m.Err = d.Str()
-	m.Got = d.Set()
-	m.Denied = d.Set()
-	return m, d.Err()
-}
-
-// FreezeWriteReq tells the server the transaction committed at TS: the
-// server freezes the write lock there and exposes the pending value
-// (Alg. 13, receive-freeze-write-lock-message).
-type FreezeWriteReq struct {
-	Txn uint64
-	Key string
-	TS  timestamp.Timestamp
-}
-
-// AppendTo implements Message.
-func (m FreezeWriteReq) AppendTo(buf []byte) []byte {
-	e := Encoder{buf: buf}
-	e.U64(m.Txn)
-	e.Str(m.Key)
-	e.TS(m.TS)
-	return e.buf
-}
-
-// DecodeFreezeWriteReq deserializes a FreezeWriteReq.
-func DecodeFreezeWriteReq(b []byte) (FreezeWriteReq, error) {
-	d := NewDecoder(b)
-	m := FreezeWriteReq{Txn: d.U64(), Key: d.Str(), TS: d.TS()}
-	return m, d.Err()
-}
-
-// FreezeReadReq freezes the transaction's read locks on [Lo, Hi]
-// (garbage collection, Alg. 11 line 33).
-type FreezeReadReq struct {
-	Txn uint64
-	Key string
-	Lo  timestamp.Timestamp
-	Hi  timestamp.Timestamp
-}
-
-// AppendTo implements Message.
-func (m FreezeReadReq) AppendTo(buf []byte) []byte {
-	e := Encoder{buf: buf}
-	e.U64(m.Txn)
-	e.Str(m.Key)
-	e.TS(m.Lo)
-	e.TS(m.Hi)
-	return e.buf
-}
-
-// DecodeFreezeReadReq deserializes a FreezeReadReq.
-func DecodeFreezeReadReq(b []byte) (FreezeReadReq, error) {
-	d := NewDecoder(b)
-	m := FreezeReadReq{Txn: d.U64(), Key: d.Str(), Lo: d.TS(), Hi: d.TS()}
-	return m, d.Err()
-}
-
-// ReleaseReq releases the transaction's unfrozen locks on Key (all of
-// them, or only write locks).
-type ReleaseReq struct {
-	Txn        uint64
-	Key        string
-	WritesOnly bool
-}
-
-// AppendTo implements Message.
-func (m ReleaseReq) AppendTo(buf []byte) []byte {
-	e := Encoder{buf: buf}
-	e.U64(m.Txn)
-	e.Str(m.Key)
-	e.Bool(m.WritesOnly)
-	return e.buf
-}
-
-// DecodeReleaseReq deserializes a ReleaseReq.
-func DecodeReleaseReq(b []byte) (ReleaseReq, error) {
-	d := NewDecoder(b)
-	m := ReleaseReq{Txn: d.U64(), Key: d.Str(), WritesOnly: d.Bool()}
-	return m, d.Err()
-}
-
 // Ack is the generic status-only response.
 type Ack struct {
 	Status Status

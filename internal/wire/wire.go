@@ -59,6 +59,9 @@ type MsgType uint8
 
 // Request and response message types.
 const (
+	// Retired single-key numbers 1–10: reserved and never sent. Every
+	// lock, freeze and release request travels as a batch (below); the
+	// names stay so that later types keep their wire numbers.
 	TReadLockReq MsgType = iota + 1
 	TReadLockResp
 	TWriteLockReq

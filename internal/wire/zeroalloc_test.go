@@ -1,10 +1,6 @@
 package wire
 
-import (
-	"testing"
-
-	"github.com/lpd-epfl/mvtl/internal/timestamp"
-)
+import "testing"
 
 // TestFramePathZeroAlloc is the deterministic alloc-regression gate
 // behind the FramePath benchmarks: the steady-state frame paths —
@@ -16,12 +12,6 @@ func TestFramePathZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	resp := benchReadResp(1024)
-	single := ReadLockResp{
-		Status:    StatusOK,
-		VersionTS: timestamp.New(100, 1),
-		Value:     make([]byte, 1024),
-		Got:       timestamp.Span(timestamp.New(101, 1), timestamp.New(5000, 0)),
-	}
 
 	fb := GetFrameBuf()
 	defer fb.Release()
@@ -50,14 +40,16 @@ func TestFramePathZeroAlloc(t *testing.T) {
 		t.Errorf("read+decode (batch): %v allocs/op, want 0", n)
 	}
 
-	r2 := &loopReader{data: encodeRawFrame(t, TReadLockResp, single)}
+	// A single Read receives a one-key batch; decoding it in place must
+	// not allocate either.
+	r2 := &loopReader{data: encodeRawFrame(t, TReadLockBatchResp, oneKeyReadResp())}
+	var one ReadLockBatchResp
 	if n := testing.AllocsPerRun(200, func() {
 		if err := ReadFrame(r2, fb); err != nil {
 			t.Fatal(err)
 		}
-		m, err := DecodeReadLockResp(fb.Body())
-		if err != nil || len(m.Value) != 1024 {
-			t.Fatalf("%v %d", err, len(m.Value))
+		if err := one.DecodeInto(fb.Body()); err != nil || len(one.Results) != 1 || len(one.Results[0].Value) != 1024 {
+			t.Fatalf("%v %d", err, len(one.Results))
 		}
 	}); n != 0 {
 		t.Errorf("read+decode (single): %v allocs/op, want 0", n)
