@@ -17,11 +17,13 @@ import (
 )
 
 // countingNetwork wraps a Network and counts, per server address, the
-// frames sent on client-side (dialed) connections.
+// frames sent on client-side (dialed) connections, and in total the
+// frames received on them.
 type countingNetwork struct {
 	transport.Network
-	mu   sync.Mutex
-	sent map[string]*atomic.Int64
+	mu    sync.Mutex
+	sent  map[string]*atomic.Int64
+	recvd atomic.Int64
 }
 
 func newCountingNetwork(inner transport.Network) *countingNetwork {
@@ -44,7 +46,7 @@ func (n *countingNetwork) Dial(addr string) (transport.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &countingConn{Conn: conn, sent: n.counter(addr)}, nil
+	return &countingConn{Conn: conn, sent: n.counter(addr), recvd: &n.recvd}, nil
 }
 
 // snapshot returns the total frames sent and the number of addresses
@@ -59,9 +61,17 @@ func (n *countingNetwork) snapshot() map[string]int64 {
 	return out
 }
 
+// totals returns the frames sent to and received from all servers.
+func (n *countingNetwork) totals() (sent, recvd int64) {
+	for _, c := range n.snapshot() {
+		sent += c
+	}
+	return sent, n.recvd.Load()
+}
+
 type countingConn struct {
 	transport.Conn
-	sent *atomic.Int64
+	sent, recvd *atomic.Int64
 }
 
 func (c *countingConn) Send(f *wire.FrameBuf) error {
@@ -74,6 +84,14 @@ func (c *countingConn) Send(f *wire.FrameBuf) error {
 func (c *countingConn) SendBatch(fbs []*wire.FrameBuf) error {
 	c.sent.Add(int64(len(fbs)))
 	return c.Conn.SendBatch(fbs)
+}
+
+func (c *countingConn) Recv() (*wire.FrameBuf, error) {
+	f, err := c.Conn.Recv()
+	if err == nil {
+		c.recvd.Add(1)
+	}
+	return f, err
 }
 
 func startServers(t *testing.T, n transport.Network, count int) []string {

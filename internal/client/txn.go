@@ -2,9 +2,11 @@ package client
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/lpd-epfl/mvtl/internal/clock"
 	"github.com/lpd-epfl/mvtl/internal/history"
@@ -345,7 +347,7 @@ func (tx *DTxn) Write(ctx context.Context, key string, value []byte) error {
 // writeLock write-locks one key as a batch of one under the partition's
 // pinned epoch, establishing the decision server on first use (§H.1:
 // the first server reached by a write). It is called directly rather
-// than through fanOutBatches: one server needs no fan-out goroutine.
+// than through fanOutBatches, as it needs no server grouping.
 func (tx *DTxn) writeLock(ctx context.Context, key string, req timestamp.Set, wait bool, value []byte) (wire.WriteLockResult, error) {
 	rt := tx.route(key)
 	if tx.decisionSrv == "" {
@@ -411,41 +413,58 @@ func (tx *DTxn) bufferWrite(key string, value []byte) {
 	tx.touched[key] = true
 }
 
-// serverGroups partitions keys by their owning server, preserving the
-// given key order within each group.
-func (tx *DTxn) serverGroups(keys []string) map[string][]string {
-	groups := make(map[string][]string)
-	for _, k := range keys {
-		addr := tx.route(k).addr
-		groups[addr] = append(groups[addr], k)
+// serverGroup is one server's share of a key list.
+type serverGroup struct {
+	addr string
+	keys []string
+}
+
+// serverGroups partitions keys by their owning server, in partition
+// order, preserving the given key order within each group: the same
+// keys always yield the same requests in the same order. The groups
+// share one backing array.
+func (tx *DTxn) serverGroups(keys []string) []serverGroup {
+	part := tx.client.partitionFor
+	sorted := slices.Clone(keys)
+	slices.SortStableFunc(sorted, func(a, b string) int { return cmp.Compare(part(a), part(b)) })
+	var groups []serverGroup
+	for i := 0; i < len(sorted); {
+		p, j := part(sorted[i]), i+1
+		for j < len(sorted) && part(sorted[j]) == p {
+			j++
+		}
+		groups = append(groups, serverGroup{addr: tx.route(sorted[i]).addr, keys: sorted[i:j:j]})
+		i = j
 	}
 	return groups
 }
 
-// serverBatch is one settled per-server batch request: the group's keys
-// and either the pooled response frame (owned by the caller, who must
+// serverBatch is one settled per-server batch request: the group and
+// either the pooled response frame (owned by the caller, who must
 // Release it after folding) or the transport error.
 type serverBatch struct {
-	addr string
-	keys []string
-	fb   *wire.FrameBuf
-	err  error
+	serverGroup
+	fb  *wire.FrameBuf
+	err error
 }
 
 // fanOutBatches issues one request per server group in parallel —
 // build constructs a group's request message from its keys, encoded
-// straight into a pooled frame by the RPC layer — and returns once
-// every batch has settled. It is the shared scaffold of the batched
-// read and write paths; decoding, per-key folding and releasing the
-// response frames stay with the caller.
-func (tx *DTxn) fanOutBatches(ctx context.Context, groups map[string][]string, t wire.MsgType, wait bool, build func(addr string, keys []string) wire.Message) []serverBatch {
-	results := make(chan serverBatch, len(groups))
+// straight into a pooled frame by the RPC layer — and returns, in
+// group order, once every batch has settled. It is the shared scaffold
+// of the batched read and write paths; decoding, per-key folding and
+// releasing the response frames stay with the caller.
+func (tx *DTxn) fanOutBatches(ctx context.Context, groups []serverGroup, t wire.MsgType, wait bool, build func(addr string, keys []string) wire.Message) []serverBatch {
+	out := make([]serverBatch, len(groups))
+	if len(groups) == 1 {
+		// One server needs no fan-out goroutine.
+		out[0] = tx.callBatch(ctx, groups[0], t, wait, build)
+		return out
+	}
 	join := clock.NewJoin(tx.client.timers, len(groups))
-	for addr, keys := range groups {
-		addr, keys := addr, keys
+	for i := range groups {
 		tx.client.timers.Go(func() {
-			f, err := tx.client.callWaitable(ctx, addr, tx.id, t, build(addr, keys), wait)
-			results <- serverBatch{addr: addr, keys: keys, fb: f, err: err}
+			out[i] = tx.callBatch(ctx, groups[i], t, wait, build)
 			join.Done() // while this child is still a registered actor
 		})
 	}
@@ -453,11 +472,13 @@ func (tx *DTxn) fanOutBatches(ctx context.Context, groups map[string][]string, t
 	// child's Done wakes this goroutine with a runnability credit, so
 	// the virtual timeline cannot slip timer fires into the handoff.
 	join.Wait()
-	out := make([]serverBatch, 0, len(groups))
-	for range groups {
-		out = append(out, <-results)
-	}
 	return out
+}
+
+// callBatch sends one group's batch request and waits for it to settle.
+func (tx *DTxn) callBatch(ctx context.Context, g serverGroup, t wire.MsgType, wait bool, build func(addr string, keys []string) wire.Message) serverBatch {
+	f, err := tx.client.callWaitable(ctx, g.addr, tx.id, t, build(g.addr, g.keys), wait)
+	return serverBatch{serverGroup: g, fb: f, err: err}
 }
 
 // writeLockBatches write-locks the transaction's whole write set at ts
@@ -591,49 +612,49 @@ func (tx *DTxn) Commit(ctx context.Context) error {
 		})
 	}
 
-	// Inform the footprint's servers, one freeze batch per server and
-	// without waiting for replies (Alg. 11 lines 27-34; the decision is
-	// already durable at the commitment object, and servers left waiting
-	// freeze through the timeout path): freeze the write locks at the
-	// commit timestamp and expose the values, and — except under
-	// timestamp ordering, which leaves its read locks behind like MVTO+
-	// read timestamps — freeze the read locks between version read and
-	// commit timestamp. A release batch per server then drops the
-	// remaining unfrozen locks (garbage collection).
-	freeze := make(map[string]*wire.FreezeBatchReq)
-	batchFor := func(key string) *wire.FreezeBatchReq {
-		addr := tx.route(key).addr
-		fb, ok := freeze[addr]
-		if !ok {
-			fb = &wire.FreezeBatchReq{Txn: tx.id, Epoch: tx.epochFor(addr), TS: commitTS}
-			freeze[addr] = fb
-		}
-		return fb
-	}
-	for _, key := range tx.writeOrder {
-		fb := batchFor(key)
-		fb.WriteKeys = append(fb.WriteKeys, key)
-	}
+	// The epilogue (Alg. 11 lines 27-34): one freeze batch per server,
+	// cast without waiting for replies (the decision is already durable
+	// at the commitment object, and a server that never gets the frame
+	// applies the decision through the suspicion path). It freezes the
+	// write locks at the commit timestamp and exposes the values; and —
+	// except under timestamp ordering, which leaves its read locks
+	// behind like MVTO+ read timestamps — it freezes the read locks
+	// between version read and commit timestamp and then drops every
+	// remaining unfrozen lock (garbage collection). Servers go in
+	// partition order and keys in write and read order, so a seed sends
+	// byte-identical frames.
+	keys := tx.writeOrder
 	if mode != ModeTO {
+		keys = slices.Clone(tx.writeOrder)
 		for _, key := range tx.readOrder {
-			lo := tx.readVers[key].Next()
-			if lo.After(commitTS) {
-				continue
+			if _, written := tx.writes[key]; !written {
+				keys = append(keys, key)
 			}
-			fb := batchFor(key)
-			fb.Reads = append(fb.Reads, wire.FreezeReadItem{Key: key, Lo: lo, Hi: commitTS})
 		}
 	}
-	for addr, fb := range freeze {
-		if err := tx.client.cast(addr, tx.id, wire.TFreezeBatchReq, fb); err != nil {
-			tx.routeFail(addr)
-			return fmt.Errorf("client: freeze batch via %s: %w", addr, err)
+	var castErr error
+	for _, g := range tx.serverGroups(keys) {
+		req := wire.FreezeBatchReq{Txn: tx.id, Epoch: tx.epochFor(g.addr), TS: commitTS}
+		if mode != ModeTO {
+			req.Reads = make([]wire.FreezeReadItem, 0, len(g.keys))
+			req.Release = g.keys
+		}
+		for _, key := range g.keys {
+			if _, written := tx.writes[key]; written {
+				req.WriteKeys = append(req.WriteKeys, key)
+			}
+			if vts, read := tx.readVers[key]; read && mode != ModeTO && !vts.Next().After(commitTS) {
+				req.Reads = append(req.Reads, wire.FreezeReadItem{Key: key, Lo: vts.Next(), Hi: commitTS})
+			}
+		}
+		if err := tx.client.cast(g.addr, tx.id, wire.TFreezeBatchReq, req); err != nil {
+			tx.routeFail(g.addr)
+			if castErr == nil {
+				castErr = fmt.Errorf("client: freeze batch via %s: %w", g.addr, err)
+			}
 		}
 	}
-	if mode != ModeTO {
-		tx.releaseCommitted(commitTS)
-	}
-	return nil
+	return castErr
 }
 
 // Abort implements kv.Txn.
@@ -664,29 +685,18 @@ func (tx *DTxn) abort(ctx context.Context) {
 // key, one release batch per server, fire-and-forget (Alg. 11 line 34).
 // Safe on the abort path even when the decide call failed: only the
 // coordinator proposes commit, so an aborting coordinator's outcome can
-// only be abort and dropping pending writes is correct.
+// only be abort and dropping pending writes is correct. Keys are sorted
+// so the batches do not depend on map order.
 func (tx *DTxn) releaseAll(writesOnly bool) {
-	tx.release(wire.ReleaseBatchReq{Txn: tx.id, WritesOnly: writesOnly})
-}
-
-// releaseCommitted is releaseAll for a decided-commit transaction: the
-// batch carries the commit timestamp so a server whose freeze cast was
-// lost installs the pending write instead of discarding it (the release
-// subsumes the freeze — see wire.ReleaseBatchReq.Committed).
-func (tx *DTxn) releaseCommitted(commitTS timestamp.Timestamp) {
-	tx.release(wire.ReleaseBatchReq{Txn: tx.id, Committed: true, TS: commitTS})
-}
-
-func (tx *DTxn) release(req wire.ReleaseBatchReq) {
 	touched := make([]string, 0, len(tx.touched))
 	for key := range tx.touched {
 		touched = append(touched, key)
 	}
-	for addr, keys := range tx.serverGroups(touched) {
-		req.Epoch = tx.epochFor(addr)
-		req.Keys = keys
-		if err := tx.client.cast(addr, tx.id, wire.TReleaseBatchReq, req); err != nil {
-			tx.routeFail(addr)
+	slices.Sort(touched)
+	for _, g := range tx.serverGroups(touched) {
+		req := wire.ReleaseBatchReq{Txn: tx.id, Epoch: tx.epochFor(g.addr), WritesOnly: writesOnly, Keys: g.keys}
+		if err := tx.client.cast(g.addr, tx.id, wire.TReleaseBatchReq, req); err != nil {
+			tx.routeFail(g.addr)
 		}
 	}
 }

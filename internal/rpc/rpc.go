@@ -8,7 +8,7 @@
 // Every call occupies a waiter slot in a per-connection freelist, and
 // the frame's correlation id encodes the slot's position:
 //
-//	bit  63     cast flag (fire-and-forget, no waiter)
+//	bit  63     cast flag (fire-and-forget: no waiter, no reply)
 //	bits 32-62  slot index
 //	bits 0-31   slot generation
 //
@@ -18,12 +18,14 @@
 // arrive in any order (server handlers block on locks independently),
 // and the per-connection demux goroutine routes each response by
 // indexing the slot table and comparing generations — no map lookup, no
-// per-call channel allocation. A response whose generation no longer
-// matches — the reply to a call whose context was cancelled, a chaos
-// duplicate, or the echo of a cast (cast flag set) — is released back
-// to the buffer pool immediately. A call can therefore never observe
-// another call's response: a slot is recycled only after its tenant is
-// done, and recycling changes the generation every response must match.
+// per-call channel allocation. A cast is never answered: the server
+// runs its handler but sends nothing back, so a cast costs one frame,
+// not two. A response whose generation no longer matches — the reply
+// to a call whose context was cancelled, a chaos duplicate, or a
+// garbage id — is released back to the buffer pool immediately. A call
+// can therefore never observe another call's response: a slot is
+// recycled only after its tenant is done, and recycling changes the
+// generation every response must match.
 //
 // # Frame coalescing
 //
@@ -53,7 +55,7 @@
 // its body (see package wire for the borrow rules). On the server half,
 // ServeConn releases each request frame after its handler returns, and
 // Reply encodes the response message into a fresh pooled buffer that
-// the transport consumes.
+// the transport consumes (for a cast, Reply encodes nothing).
 //
 // # Pool semantics and ordering
 //
@@ -61,10 +63,10 @@
 // lazily. Every Call and Cast names a flow (callers use the transaction
 // id): all frames of one flow travel over the same pooled connection,
 // in send order, so the transport's per-connection FIFO guarantee
-// becomes a per-flow FIFO guarantee — a transaction's release cast can
-// never overtake its freeze cast. Between different flows there is no
-// ordering: with a pool larger than one, a frame of flow A may reach
-// the server before an earlier frame of flow B. Callers that rely on
+// becomes a per-flow FIFO guarantee — a transaction's epilogue cast
+// can never overtake its own lock requests. Between different flows
+// there is no ordering: with a pool larger than one, a frame of flow A
+// may reach the server before an earlier frame of flow B. Callers that rely on
 // cross-transaction FIFO to one server (the coordinator's
 // read-your-own-writes freshness after a fire-and-forget freeze) must
 // use a pool of one, which is the default and restores exactly the old
@@ -192,9 +194,8 @@ func (c *Client) Call(ctx context.Context, flow uint64, t wire.MsgType, m wire.M
 }
 
 // Cast sends a request on the flow's pooled connection without waiting
-// for the response; the reply carries the cast flag back and is dropped
-// (and its buffer recycled) by the demultiplexer. Used for the
-// fire-and-forget messages of Alg. 11 — freeze-write-locks,
+// for a response; the server runs the handler and sends no reply. Used
+// for the fire-and-forget messages of Alg. 11 — freeze-write-locks,
 // freeze-read-locks and releases are sent "without waiting for replies"
 // (§H), which is what makes the protocol communication efficient.
 func (c *Client) Cast(flow uint64, t wire.MsgType, m wire.Message) error {
@@ -227,9 +228,9 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// castFlag marks a correlation id as having no waiter: the demux
-// releases the response unexamined. Server handlers echo the id back
-// verbatim, so the flag round-trips.
+// castFlag marks a correlation id as having no waiter: ServeConn runs
+// the handler but its Reply sends nothing. The low bits still number
+// the casts of a connection, so a tracer can tell them apart.
 const castFlag = uint64(1) << 63
 
 // callID packs a waiter slot's position into a correlation id.
@@ -276,8 +277,7 @@ type conn struct {
 	closed bool
 
 	// lateDrops counts responses released by slot/generation mismatch:
-	// late replies to cancelled calls and chaos duplicates (cast echoes
-	// are expected traffic and not counted).
+	// late replies to cancelled calls, chaos duplicates and garbage ids.
 	lateDrops atomic.Uint64
 
 	// done joins the demux goroutine's exit. A credited clock.Join, not
@@ -391,15 +391,12 @@ func (cn *conn) recvLoop() {
 }
 
 // route delivers one response frame by slot index + generation, or
-// releases it back to the pool: cast echoes (cast flag), late replies
-// to cancelled calls (generation mismatch), duplicates (active already
-// cleared), and garbage ids all recycle here.
+// releases it back to the pool: late replies to cancelled calls
+// (generation mismatch), duplicates (active already cleared), and
+// garbage ids — a cast-flagged id included, since casts get no reply —
+// all recycle here.
 func (cn *conn) route(f *wire.FrameBuf) {
 	id := f.ID()
-	if id&castFlag != 0 {
-		f.Release()
-		return
-	}
 	idx, gen := uint32(id>>32), uint32(id)
 	var s *waiterSlot
 	cn.mu.Lock()
@@ -661,9 +658,9 @@ func (q *replyFlusher) stop() {
 
 // Reply sends one response frame, correlated with the request that the
 // enclosing handler is serving: m is append-encoded into a pooled
-// buffer that the transport consumes. It is safe for concurrent use
-// while the handler runs, and must not be called after the handler has
-// returned.
+// buffer that the transport consumes. For a cast it encodes and sends
+// nothing. It is safe for concurrent use while the handler runs, and
+// must not be called after the handler has returned.
 type Reply func(t wire.MsgType, m wire.Message)
 
 // replyState backs the inline dispatch path's single Reply closure:
@@ -683,8 +680,12 @@ func (r *replyState) reply(t wire.MsgType, m wire.Message) {
 
 // sendReply encodes one response frame and enqueues it on the
 // connection's reply flusher, so consecutive replies coalesce into
-// vectored writes and handlers never block on transmission.
+// vectored writes and handlers never block on transmission. The reply
+// to a cast is dropped unencoded: nobody waits for it.
 func sendReply(out *replyFlusher, onSendErr func(error), id uint64, t wire.MsgType, m wire.Message) {
+	if id&castFlag != 0 {
+		return
+	}
 	fb := wire.GetFrameBuf()
 	if err := fb.SetFrame(id, t, m); err != nil {
 		fb.Release()
@@ -700,9 +701,10 @@ func sendReply(out *replyFlusher, onSendErr func(error), id uint64, t wire.MsgTy
 
 // ServeConn is the server half of the mux: it reads frames from conn
 // and dispatches each to handle with a Reply bound to the frame's
-// correlation id. Responses are enqueued on the connection's reply
-// flusher — consecutive replies coalesce into vectored writes, never
-// interleave bytes, and never block the handler that sent them. Frames
+// correlation id (a cast's Reply sends nothing). Responses are
+// enqueued on the connection's reply flusher — consecutive replies
+// coalesce into vectored writes, never interleave bytes, and never
+// block the handler that sent them. Frames
 // whose type spawn reports true (handlers that may block, e.g. on lock
 // waits) run in their own goroutine; all others run inline on the read
 // loop, in arrival order — preserving the per-flow FIFO semantics

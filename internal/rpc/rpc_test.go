@@ -329,3 +329,64 @@ func TestServeConnInlineOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestCastGetsNoReply pins that a cast-flagged frame runs its handler
+// and puts no frame back on the connection, on the inline and the
+// spawned dispatch path alike. The casts go first; the call sent after
+// every handler has run is answered behind anything those handlers
+// enqueued, so its reply being the next frame proves there was none.
+func TestCastGetsNoReply(t *testing.T) {
+	n := transport.NewMem(transport.LatencyModel{})
+	l, err := n.Listen("cast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	var handled atomic.Int64
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		t.Cleanup(func() { _ = conn.Close() })
+		ServeConn(conn,
+			func(mt wire.MsgType) bool { return mt == wire.TDecideReq },
+			func(f *wire.FrameBuf, reply Reply) {
+				reply(f.Type()+1, nil)
+				handled.Add(1)
+			}, nil)
+	}()
+	c, err := n.Dial("cast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	send := func(id uint64, mt wire.MsgType) {
+		t.Helper()
+		fb := wire.GetFrameBuf()
+		if err := fb.SetFrame(id, mt, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(fb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(castFlag|1, wire.TPurgeReq)  // inline handler
+	send(castFlag|2, wire.TDecideReq) // spawned handler
+	deadline := time.Now().Add(5 * time.Second)
+	for handled.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("cast handlers ran %d times, want 2", handled.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	send(7, wire.TPurgeReq)
+	f, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Release()
+	if f.ID() != 7 || f.Type() != wire.TPurgeResp {
+		t.Fatalf("first frame back: id %#x type %d, want the call's reply (id 7)", f.ID(), f.Type())
+	}
+}

@@ -137,9 +137,9 @@ func TestRouteGenerationChecks(t *testing.T) {
 		t.Fatalf("duplicate must be dropped and counted, lateDrops=%d", got)
 	}
 
-	cn.route(frame(castFlag | 7)) // cast echo: released, not counted
-	if got := cn.lateDrops.Load(); got != 2 {
-		t.Fatalf("cast echo is expected traffic, lateDrops=%d", got)
+	cn.route(frame(castFlag | 7)) // casts get no reply: a garbage id
+	if got := cn.lateDrops.Load(); got != 3 {
+		t.Fatalf("cast-flagged response must be dropped and counted, lateDrops=%d", got)
 	}
 
 	cn.freeSlot(idx, s)

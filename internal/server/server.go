@@ -470,6 +470,9 @@ func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) {
 	case wire.TFreezeBatchReq:
 		req, err := wire.DecodeFreezeBatchReq(f.Body())
 		if err != nil {
+			// Coordinators cast their epilogues, and a cast's reply is
+			// never sent: the log is the only trace of the failure.
+			s.logf("server %s: malformed freeze batch: %v", s.cfg.Addr, err)
 			reply(wire.TFreezeBatchResp, wire.FreezeBatchResp{Status: wire.StatusError, Err: err.Error()})
 			return
 		}
@@ -477,10 +480,12 @@ func (s *Server) dispatch(f *wire.FrameBuf, reply rpc.Reply) {
 	case wire.TReleaseBatchReq:
 		req, err := wire.DecodeReleaseBatchReq(f.Body())
 		if err != nil {
+			s.logf("server %s: malformed release batch: %v", s.cfg.Addr, err)
 			reply(wire.TReleaseBatchResp, wire.Ack{Status: wire.StatusError, Err: err.Error()})
 			return
 		}
-		reply(wire.TReleaseBatchResp, s.handleReleaseBatch(req))
+		s.release(req.Txn, req.Keys, req.WritesOnly)
+		reply(wire.TReleaseBatchResp, wire.Ack{Status: wire.StatusOK})
 	case wire.TDecideReq:
 		req, err := wire.DecodeDecideReq(f.Body())
 		if err != nil {
@@ -557,14 +562,7 @@ func (s *Server) handleReadLockBatch(req wire.ReadLockBatchReq) wire.ReadLockBat
 	anyDenied := false
 	wait := req.Wait
 	for i, k := range req.Keys {
-		// Each key gets its own lock-wait budget, exactly as n
-		// sequential one-key batches would: one blocked key must not
-		// starve its siblings' waits or poison their results.
-		results[i] = func() wire.ReadLockResult {
-			ctx, cancel := s.timers.WithTimeout(context.Background(), s.cfg.LockWaitTimeout)
-			defer cancel()
-			return s.readLockKey(ctx, k, owner, req.Upper, wait)
-		}()
+		results[i] = s.readLockKey(k, owner, req.Upper, wait)
 		if results[i].Status != wire.StatusOK {
 			anyDenied = true
 			// The coordinator aborts on any per-key failure, so once one
@@ -593,7 +591,18 @@ func (s *Server) handleReadLockBatch(req wire.ReadLockBatchReq) wire.ReadLockBat
 // readLockKey is the per-key read step: pick the latest version below
 // upper, read-lock the interval above it (waiting on unfrozen write
 // locks when requested), retrying while newer frozen versions appear.
-func (s *Server) readLockKey(ctx context.Context, key string, owner lock.Owner, upper timestamp.Timestamp, wait bool) wire.ReadLockResult {
+// A waiting key gets its own lock-wait budget, exactly as n sequential
+// one-key batches would: one blocked key must not starve its siblings'
+// waits or poison their results. A no-wait key arms no deadline: it
+// never parks, and each retry reads the newer version that the frozen
+// write it met has installed (install comes before freeze).
+func (s *Server) readLockKey(key string, owner lock.Owner, upper timestamp.Timestamp, wait bool) wire.ReadLockResult {
+	ctx := context.Background()
+	if wait {
+		var cancel context.CancelFunc
+		ctx, cancel = s.timers.WithTimeout(ctx, s.cfg.LockWaitTimeout)
+		defer cancel()
+	}
 	ks := s.key(key)
 	for {
 		if ctx.Err() != nil {
@@ -669,8 +678,13 @@ func (s *Server) handleWriteLockBatch(req wire.WriteLockBatchReq) wire.WriteLock
 	}
 
 	owner := lock.Owner(req.Txn)
-	ctx, cancel := s.timers.WithTimeout(context.Background(), s.cfg.LockWaitTimeout)
-	defer cancel()
+	ctx := context.Background()
+	if req.Wait {
+		// Only a waiting batch can park, so only it arms a deadline.
+		var cancel context.CancelFunc
+		ctx, cancel = s.timers.WithTimeout(ctx, s.cfg.LockWaitTimeout)
+		defer cancel()
+	}
 	results := make([]wire.WriteLockResult, len(req.Items))
 	acquired := make([]bool, len(req.Items))
 	any, anyDenied := false, false
@@ -764,8 +778,10 @@ func (s *Server) handleWriteLockBatch(req wire.WriteLockBatchReq) wire.WriteLock
 // handleFreezeBatch applies a commit at req.TS across the transaction's
 // keys on this server: install every pending value and freeze its write
 // lock (install-before-freeze keeps the frozen-implies-present invariant
-// readers rely on), then freeze the requested read-lock ranges (garbage
-// collection, Alg. 11 line 33).
+// readers rely on), freeze the requested read-lock ranges, and only then
+// release the unfrozen remainder on req.Release (garbage collection,
+// Alg. 11 lines 33-34). The order matters: a release that ran first
+// would drop the very locks the freeze installs under.
 func (s *Server) handleFreezeBatch(req wire.FreezeBatchReq) wire.FreezeBatchResp {
 	// Deliberately NOT fenced. A freeze only acts on pending state that a
 	// write-lock grant created, and grants are fenced — so on any server
@@ -822,13 +838,12 @@ func (s *Server) handleFreezeBatch(req wire.FreezeBatchReq) wire.FreezeBatchResp
 					if frozen[i] {
 						delete(t.pending, k)
 						// The lock at this key is frozen; any unfrozen
-						// remainder is dropped by the coordinator's
-						// release batch straight off the lock table, so
-						// the record need not track the key anymore —
-						// without this, committed transactions that
-						// never release (timestamp ordering freezes
-						// exactly what it locked) would pin their
-						// records forever.
+						// remainder is dropped by req.Release straight
+						// off the lock table, so the record need not
+						// track the key anymore — without this,
+						// committed transactions that never release
+						// (timestamp ordering freezes exactly what it
+						// locked) would pin their records forever.
 						delete(t.writeKeys, k)
 					}
 				}
@@ -843,40 +858,26 @@ func (s *Server) handleFreezeBatch(req wire.FreezeBatchReq) wire.FreezeBatchResp
 	for _, r := range req.Reads {
 		s.key(r.Key).locks.FreezeReadIn(owner, timestamp.Span(r.Lo, r.Hi))
 	}
+	if len(req.Release) > 0 {
+		s.release(req.Txn, req.Release, false)
+	}
 	return resp
 }
 
-// handleReleaseBatch drops the transaction's unfrozen locks on every
-// listed key, then updates the transaction state in one pass.
-func (s *Server) handleReleaseBatch(req wire.ReleaseBatchReq) wire.Ack {
+// release drops the transaction's unfrozen locks (or only its write
+// locks) on every listed key, then updates the transaction state in one
+// pass: the last step of both epilogues, a committed transaction's
+// freeze batch and an aborted one's release batch.
+func (s *Server) release(txn uint64, keys []string, writesOnly bool) {
 	// Not fenced, for the same reason as handleFreezeBatch: releases only
 	// drop locks their owner was granted (a no-op anywhere else), and a
 	// demoted head must accept them so aborted in-flight transactions
 	// drain their records — the failover harness waits for live
 	// transactions to reach zero before freezing the old head's log.
-	owner := lock.Owner(req.Txn)
-	if req.Committed {
-		// The sender's transaction decided commit at req.TS. Any write
-		// key still pending here means the freeze cast that should have
-		// installed it was lost in flight (both are fire-and-forget):
-		// releasing its unfrozen lock below would silently discard a
-		// durably committed write. Run the lost freeze first — the
-		// freshly frozen locks then survive ReleaseUnfrozen.
-		var lost []string
-		s.withTxnIfPresent(req.Txn, func(t *txnState) {
-			for _, k := range req.Keys {
-				if _, ok := t.pending[k]; ok {
-					lost = append(lost, k)
-				}
-			}
-		})
-		if len(lost) > 0 {
-			s.handleFreezeBatch(wire.FreezeBatchReq{Txn: req.Txn, Epoch: req.Epoch, TS: req.TS, WriteKeys: lost})
-		}
-	}
-	for _, k := range req.Keys {
+	owner := lock.Owner(txn)
+	for _, k := range keys {
 		ks := s.key(k)
-		if req.WritesOnly {
+		if writesOnly {
 			ks.locks.ReleaseWrites(owner)
 		} else {
 			ks.locks.ReleaseUnfrozen(owner)
@@ -885,16 +886,16 @@ func (s *Server) handleReleaseBatch(req wire.ReleaseBatchReq) wire.Ack {
 	// If-present: a release retried after the record was already
 	// garbage-collected must not resurrect it (the lock tables above
 	// were still cleaned — they do not need the record).
-	s.withTxnIfPresent(req.Txn, func(t *txnState) {
-		for _, k := range req.Keys {
+	s.withTxnIfPresent(txn, func(t *txnState) {
+		for _, k := range keys {
 			delete(t.pending, k)
 			delete(t.writeKeys, k)
 		}
 		if len(t.writeKeys) == 0 {
 			t.firstWriteLock = time.Time{}
 		}
-		// Release batches are only sent when the coordinator is done
-		// with the transaction (Commit/Abort cleanup), so a record left
+		// Releases are only sent when the coordinator is done with the
+		// transaction (Commit/Abort epilogue), so a record left
 		// with nothing pending and no write locks is finished. Without
 		// this, a client-side abort — whose decide reaches only the
 		// decision server — would leave participant servers' records
@@ -904,7 +905,6 @@ func (s *Server) handleReleaseBatch(req wire.ReleaseBatchReq) wire.Ack {
 			t.finished = true
 		}
 	})
-	return wire.Ack{Status: wire.StatusOK}
 }
 
 // handleDecide runs the commitment object hosted on this server and

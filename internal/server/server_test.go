@@ -294,45 +294,62 @@ func TestServerConcurrentRequestsOneConn(t *testing.T) {
 	}
 }
 
-// TestServerCommittedReleaseInstallsLostFreeze covers the lost-freeze
-// hole: freezes and releases are both fire-and-forget casts, so a
-// dropped freeze followed by a delivered release used to discard the
-// still-unfrozen write lock — and with it the pending value of a
-// durably committed write. A release carrying the commit decision must
-// install the pending write at the commit timestamp instead.
-func TestServerCommittedReleaseInstallsLostFreeze(t *testing.T) {
-	_, n := startServer(t, time.Minute)
+// TestServerEpilogueFreezesThenReleases covers a committed
+// transaction's one-frame epilogue: the freeze batch installs and
+// freezes the pending write and the read range, and only then releases
+// the unfrozen remainder on the keys of its Release list. A release run
+// first would drop the write lock the freeze needs, losing a durably
+// committed write.
+func TestServerEpilogueFreezesThenReleases(t *testing.T) {
+	srv, n := startServer(t, time.Minute)
 	c := dialRaw(t, n, "srv")
 
 	set := timestamp.NewSet(timestamp.Span(ts(10), ts(20)))
 	if wresp := c.writeOne(1, "x", set, []byte("v1")); wresp.Status != wire.StatusOK {
 		t.Fatalf("%+v", wresp)
 	}
-	f := c.call(wire.TDecideReq, wire.DecideReq{Txn: 1, Proposal: wire.DecideCommit, TS: ts(15)})
-	if dresp, err := wire.DecodeDecideResp(f.Body()); err != nil || dresp.Kind != wire.DecideCommit {
-		t.Fatalf("%+v %v", dresp, err)
+	rres := c.readOne(1, "y", ts(20))
+	if rres.Status != wire.StatusOK || rres.Got.IsEmpty() {
+		t.Fatalf("%+v", rres)
 	}
-	// The freeze cast is "lost": the coordinator's release batch arrives
-	// first, carrying the commit decision.
-	f = c.call(wire.TReleaseBatchReq, wire.ReleaseBatchReq{
-		Txn: 1, Committed: true, TS: ts(15), Keys: []string{"x"},
+	// No decide here: this server plays a participant whose commitment
+	// object lives elsewhere, so the epilogue frame alone installs x.
+	f := c.call(wire.TFreezeBatchReq, wire.FreezeBatchReq{
+		Txn: 1, TS: ts(15), WriteKeys: []string{"x"},
+		Reads:   []wire.FreezeReadItem{{Key: "y", Lo: rres.VersionTS.Next(), Hi: ts(15)}},
+		Release: []string{"x", "y"},
 	})
-	if ack, err := wire.DecodeAck(f.Body()); err != nil || ack.Status != wire.StatusOK {
-		t.Fatalf("%+v %v", ack, err)
+	fresp, err := wire.DecodeFreezeBatchResp(f.Body())
+	if err != nil || len(fresp.WriteAcks) != 1 || fresp.WriteAcks[0].Status != wire.StatusOK {
+		t.Fatalf("freeze: %+v %v", fresp, err)
 	}
-	// The committed value must be readable, not dropped.
-	rresp := c.readOne(2, "x", ts(100))
+	if live := srv.LiveTxns(); live != 0 {
+		t.Fatalf("epilogue left %d live transactions", live)
+	}
+	// The unfrozen remainders are released: a later writer gets them
+	// whole, while the frozen read range still turns it away.
+	above := timestamp.NewSet(timestamp.Span(ts(16), ts(20)))
+	for _, key := range []string{"x", "y"} {
+		if res := c.writeOne(5, key, above, []byte("w")); res.Status != wire.StatusOK || !res.Got.Equal(above) {
+			t.Fatalf("write-lock %q above the commit: %+v", key, res)
+		}
+	}
+	if res := c.writeOne(6, "y", timestamp.NewSet(timestamp.Point(ts(12))), []byte("w")); !res.Got.IsEmpty() {
+		t.Fatalf("write-lock inside the frozen read range: %+v", res)
+	}
+	// The committed value is readable, not dropped.
+	rresp := c.readOne(2, "x", ts(16))
 	if rresp.Status != wire.StatusOK {
 		t.Fatalf("%+v", rresp)
 	}
 	if string(rresp.Value) != "v1" || rresp.VersionTS != ts(15) {
 		t.Fatalf("committed write lost: value %q at %v, want \"v1\" at %v", rresp.Value, rresp.VersionTS, ts(15))
 	}
-	// An uncommitted release (the abort path) still drops pending writes.
+	// A release batch (the abort epilogue) drops pending writes.
 	set2 := timestamp.NewSet(timestamp.Span(ts(30), ts(40)))
-	c.writeOne(3, "y", set2, []byte("v2"))
-	c.call(wire.TReleaseBatchReq, wire.ReleaseBatchReq{Txn: 3, Keys: []string{"y"}})
-	rresp = c.readOne(4, "y", ts(100))
+	c.writeOne(3, "z", set2, []byte("v2"))
+	c.call(wire.TReleaseBatchReq, wire.ReleaseBatchReq{Txn: 3, Keys: []string{"z"}})
+	rresp = c.readOne(4, "z", ts(100))
 	if rresp.Status != wire.StatusOK {
 		t.Fatalf("%+v", rresp)
 	}

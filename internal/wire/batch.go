@@ -123,17 +123,21 @@ type FreezeReadItem struct {
 	Lo, Hi timestamp.Timestamp
 }
 
-// FreezeBatchReq applies a commit decision to this server's share of the
-// footprint in one pass: freeze the write locks of WriteKeys at TS
-// (installing the pending values first; Alg. 13,
-// receive-freeze-write-lock-message), and freeze the read-lock ranges
-// of Reads.
+// FreezeBatchReq is a committed transaction's whole epilogue on one
+// server (Alg. 11 lines 27-34) in one frame: freeze the write locks of
+// WriteKeys at TS (installing the pending values first; Alg. 13,
+// receive-freeze-write-lock-message), freeze the read-lock ranges of
+// Reads, and then drop the transaction's remaining unfrozen locks on
+// every key of Release (garbage collection). Freeze and release travel
+// together, so a lost frame loses both; the server's suspicion path
+// then applies the decision (see server.applyDecision).
 type FreezeBatchReq struct {
 	Txn       uint64
 	Epoch     uint64
 	TS        timestamp.Timestamp
 	WriteKeys []string
 	Reads     []FreezeReadItem
+	Release   []string
 }
 
 // AppendTo implements Message.
@@ -149,6 +153,7 @@ func (m FreezeBatchReq) AppendTo(buf []byte) []byte {
 		e.TS(r.Lo)
 		e.TS(r.Hi)
 	}
+	e.StrSlice(m.Release)
 	return e.buf
 }
 
@@ -160,12 +165,14 @@ func DecodeFreezeBatchReq(b []byte) (FreezeBatchReq, error) {
 	for i := 0; i < n && d.err == nil; i++ {
 		m.Reads = append(m.Reads, FreezeReadItem{Key: d.Str(), Lo: d.TS(), Hi: d.TS()})
 	}
+	m.Release = d.StrSlice()
 	return m, d.Err()
 }
 
 // FreezeBatchResp answers a FreezeBatchReq with one ack per write key
-// (read freezes cannot fail). Coordinators fire-and-forget freezes, but
-// the acks make the handler testable and keep the protocol symmetric.
+// (read freezes and releases cannot fail). Coordinators cast freezes,
+// which get no reply; the acks answer a freeze sent as a call, which
+// makes the handler testable.
 type FreezeBatchResp struct {
 	Status Status
 	Err    string
@@ -198,23 +205,13 @@ func DecodeFreezeBatchResp(b []byte) (FreezeBatchResp, error) {
 }
 
 // ReleaseBatchReq releases the transaction's unfrozen locks (all of
-// them, or only write locks) on every listed key in one pass. When
-// Committed is set, the sender is a coordinator whose transaction
-// decided commit at TS: freezes and releases are both casts, so a
-// dropped freeze followed by a delivered release would otherwise make
-// the handler discard a still-unfrozen write lock — and with it the
-// pending value of a durably committed write. A committed release
-// therefore subsumes the freeze: the handler installs any write key
-// still pending at TS before dropping the remaining unfrozen locks.
+// them, or only write locks) on every listed key in one pass: the
+// epilogue of an aborted transaction.
 type ReleaseBatchReq struct {
 	Txn        uint64
 	Epoch      uint64
 	WritesOnly bool
-	// Committed marks the sender's transaction as decided-commit at TS;
-	// leftover pending writes among Keys are installed, not dropped.
-	Committed bool
-	TS        timestamp.Timestamp
-	Keys      []string
+	Keys       []string
 }
 
 // AppendTo implements Message.
@@ -223,8 +220,6 @@ func (m ReleaseBatchReq) AppendTo(buf []byte) []byte {
 	e.U64(m.Txn)
 	e.U64(m.Epoch)
 	e.Bool(m.WritesOnly)
-	e.Bool(m.Committed)
-	e.TS(m.TS)
 	e.StrSlice(m.Keys)
 	return e.buf
 }
@@ -232,7 +227,7 @@ func (m ReleaseBatchReq) AppendTo(buf []byte) []byte {
 // DecodeReleaseBatchReq deserializes a ReleaseBatchReq.
 func DecodeReleaseBatchReq(b []byte) (ReleaseBatchReq, error) {
 	d := NewDecoder(b)
-	m := ReleaseBatchReq{Txn: d.U64(), Epoch: d.U64(), WritesOnly: d.Bool(), Committed: d.Bool(), TS: d.TS(), Keys: d.StrSlice()}
+	m := ReleaseBatchReq{Txn: d.U64(), Epoch: d.U64(), WritesOnly: d.Bool(), Keys: d.StrSlice()}
 	return m, d.Err()
 }
 

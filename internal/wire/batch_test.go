@@ -175,10 +175,14 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 		for i, n := 0, r.Intn(6); i < n; i++ {
 			in.Reads = append(in.Reads, FreezeReadItem{Key: randWord(r), Lo: randTS(r), Hi: randTS(r)})
 		}
+		for i, n := 0, r.Intn(6); i < n; i++ {
+			in.Release = append(in.Release, randWord(r))
+		}
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
 			out, err := DecodeFreezeBatchReq(b)
 			ok := out.Txn == in.Txn && out.Epoch == in.Epoch && out.TS == in.TS &&
-				slices.Equal(out.WriteKeys, in.WriteKeys) && slices.Equal(out.Reads, in.Reads)
+				slices.Equal(out.WriteKeys, in.WriteKeys) && slices.Equal(out.Reads, in.Reads) &&
+				slices.Equal(out.Release, in.Release)
 			return ok, err
 		}}
 	},
@@ -230,14 +234,14 @@ var codecCases = map[string]func(r *rand.Rand) codecCase{
 		}}
 	},
 	"ReleaseBatchReq": func(r *rand.Rand) codecCase {
-		in := ReleaseBatchReq{Txn: r.Uint64(), Epoch: r.Uint64(), WritesOnly: r.Intn(2) == 0, Committed: r.Intn(2) == 0, TS: randTS(r)}
+		in := ReleaseBatchReq{Txn: r.Uint64(), Epoch: r.Uint64(), WritesOnly: r.Intn(2) == 0}
 		for i, n := 0, r.Intn(6); i < n; i++ {
 			in.Keys = append(in.Keys, randWord(r))
 		}
 		return codecCase{in.AppendTo(nil), func(b []byte) (bool, error) {
 			out, err := DecodeReleaseBatchReq(b)
 			ok := out.Txn == in.Txn && out.Epoch == in.Epoch && out.WritesOnly == in.WritesOnly &&
-				out.Committed == in.Committed && out.TS == in.TS && slices.Equal(out.Keys, in.Keys)
+				slices.Equal(out.Keys, in.Keys)
 			return ok, err
 		}}
 	},
