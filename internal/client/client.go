@@ -117,9 +117,12 @@ type Config struct {
 	// transactions after a fire-and-forget freeze. Larger pools lift
 	// per-connection throughput under many concurrent transactions;
 	// frames then stay FIFO only within one transaction, so another
-	// transaction's read may overtake an earlier commit's freeze and
+	// transaction's read may overtake an earlier commit's freeze. It
+	// then meets that commit's still-unfrozen write locks: it may
 	// observe the previous version (still serializable, possibly
-	// stale).
+	// stale) or, under MVTIL's no-wait reads, abort because the locks
+	// left it nothing to read ("locked nothing", "emptied the
+	// interval").
 	ConnsPerServer int
 	// CallTimeout bounds each RPC: a partitioned or crashed server
 	// costs one timeout instead of hanging the transaction. It must

@@ -206,7 +206,11 @@ func TestGetMultiAllModes(t *testing.T) {
 			t.Parallel()
 			n := transport.NewMem(transport.LatencyModel{})
 			addrs := startServers(t, n, 3)
-			cl, err := client.New(client.Config{ID: 1, Servers: addrs, Network: n, Mode: mode, ConnsPerServer: 2})
+			// A pool of one connection per server: tx must read what the
+			// seed committed, and only one connection keeps tx's reads
+			// behind the seed's fire-and-forget freeze (see
+			// client.Config.ConnsPerServer).
+			cl, err := client.New(client.Config{ID: 1, Servers: addrs, Network: n, Mode: mode, ConnsPerServer: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -45,6 +45,15 @@
 // and return, and every reply that accumulates while the flusher's
 // previous write is on the wire goes out in the next vectored write.
 //
+// # Server dispatch
+//
+// ServeConn runs each request inline on the connection's read loop,
+// in arrival order, unless its spawn predicate asks for a goroutine.
+// The predicate sees the whole frame, not just its type, so a server
+// can spawn only the requests that may really park: storage servers
+// read a lock batch's Wait flag at its fixed offset and run no-wait
+// batches inline, with no goroutine or closure per request.
+//
 // # Buffer ownership
 //
 // Requests are append-encoded (wire.Message) directly into a pooled
@@ -704,11 +713,12 @@ func sendReply(out *replyFlusher, onSendErr func(error), id uint64, t wire.MsgTy
 // correlation id (a cast's Reply sends nothing). Responses are
 // enqueued on the connection's reply flusher — consecutive replies
 // coalesce into vectored writes, never interleave bytes, and never
-// block the handler that sent them. Frames
-// whose type spawn reports true (handlers that may block, e.g. on lock
-// waits) run in their own goroutine; all others run inline on the read
-// loop, in arrival order — preserving the per-flow FIFO semantics
-// coordinators rely on when they fire-and-forget a freeze and then
+// block the handler that sent them. Frames for which spawn reports
+// true (handlers that may block, e.g. on lock waits) run in their own
+// goroutine. spawn sees the whole frame, so it can decide per request
+// rather than per type, but must not retain the frame or its body. All
+// other frames run inline on the read loop, in arrival order —
+// preserving the per-flow FIFO semantics coordinators rely on when they fire-and-forget a freeze and then
 // issue the next request on the same flow — and share one pre-allocated
 // Reply, so the inline request/reply path allocates nothing beyond the
 // pooled frames. Each request frame is released back to the pool after
@@ -719,7 +729,7 @@ func sendReply(out *replyFlusher, onSendErr func(error), id uint64, t wire.MsgTy
 // response writes are reported to onSendErr (nil discards them) — a
 // client waiting on a correlation id whose response was never written
 // is otherwise invisible on the server side.
-func ServeConn(conn transport.Conn, spawn func(wire.MsgType) bool, handle func(f *wire.FrameBuf, reply Reply), onSendErr func(error)) {
+func ServeConn(conn transport.Conn, spawn func(f *wire.FrameBuf) bool, handle func(f *wire.FrameBuf, reply Reply), onSendErr func(error)) {
 	ServeConnTimers(conn, spawn, handle, onSendErr, nil)
 }
 
@@ -729,7 +739,7 @@ func ServeConn(conn transport.Conn, spawn func(wire.MsgType) bool, handle func(f
 // lock-wait deadlines while the connection drains without opening a
 // free-running-advance window at the final handoff. A nil t means
 // SystemTimers.
-func ServeConnTimers(conn transport.Conn, spawn func(wire.MsgType) bool, handle func(f *wire.FrameBuf, reply Reply), onSendErr func(error), t clock.Timers) {
+func ServeConnTimers(conn transport.Conn, spawn func(f *wire.FrameBuf) bool, handle func(f *wire.FrameBuf, reply Reply), onSendErr func(error), t clock.Timers) {
 	timers := clock.OrSystem(t)
 	out := newReplyFlusher(conn, onSendErr, timers)
 	inline := &replyState{out: out, onSendErr: onSendErr}
@@ -744,7 +754,7 @@ func ServeConnTimers(conn transport.Conn, spawn func(wire.MsgType) bool, handle 
 		if err != nil {
 			return
 		}
-		if spawn != nil && spawn(f.Type()) {
+		if spawn != nil && spawn(f) {
 			handlers.Add(1)
 			id := f.ID()
 			timers.Go(func() {

@@ -39,7 +39,7 @@ func startEcho(tb testing.TB, n transport.Network, addr string, delay time.Durat
 			accepted.Add(1)
 			tb.Cleanup(func() { _ = conn.Close() })
 			go ServeConn(conn,
-				func(wire.MsgType) bool { return delay > 0 },
+				func(*wire.FrameBuf) bool { return delay > 0 },
 				func(f *wire.FrameBuf, reply Reply) {
 					if delay > 0 {
 						time.Sleep(time.Duration(rand.Int63n(int64(delay))))
@@ -330,6 +330,67 @@ func TestServeConnInlineOrder(t *testing.T) {
 	}
 }
 
+// TestServeConnSpawnPerFrame checks that the spawn predicate decides
+// per frame, from the body: frames of one type whose body asks to park
+// run in their own goroutines, the rest inline. Inline frames sent
+// behind parked ones are answered at once, in arrival order, and the
+// parked ones are answered once released.
+func TestServeConnSpawnPerFrame(t *testing.T) {
+	n := transport.NewMem(transport.LatencyModel{})
+	l, err := n.Listen("per-frame")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	unpark := make(chan struct{})
+	parks := func(f *wire.FrameBuf) bool { return len(f.Body()) > 0 && f.Body()[0] == 1 }
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		t.Cleanup(func() { _ = conn.Close() })
+		ServeConn(conn, parks, func(f *wire.FrameBuf, reply Reply) {
+			if parks(f) {
+				<-unpark
+			}
+			reply(f.Type()+1, nil)
+		}, nil)
+	}()
+	c, err := n.Dial("per-frame")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	for id, park := range []byte{1, 0, 0, 1, 0, 0} {
+		fb := wire.GetFrameBuf()
+		if err := fb.SetFrame(uint64(id), wire.TReadLockBatchReq, wire.Raw([]byte{park})); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(fb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recvID := func() uint64 {
+		t.Helper()
+		f, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Release()
+		return f.ID()
+	}
+	for _, want := range []uint64{1, 2, 4, 5} {
+		if got := recvID(); got != want {
+			t.Fatalf("inline reply out of order: got id %d, want %d", got, want)
+		}
+	}
+	close(unpark)
+	if a, b := recvID(), recvID(); a+b != 0+3 || a*b != 0 {
+		t.Fatalf("parked replies: got ids %d and %d, want 0 and 3", a, b)
+	}
+}
+
 // TestCastGetsNoReply pins that a cast-flagged frame runs its handler
 // and puts no frame back on the connection, on the inline and the
 // spawned dispatch path alike. The casts go first; the call sent after
@@ -350,7 +411,7 @@ func TestCastGetsNoReply(t *testing.T) {
 		}
 		t.Cleanup(func() { _ = conn.Close() })
 		ServeConn(conn,
-			func(mt wire.MsgType) bool { return mt == wire.TDecideReq },
+			func(f *wire.FrameBuf) bool { return f.Type() == wire.TDecideReq },
 			func(f *wire.FrameBuf, reply Reply) {
 				reply(f.Type()+1, nil)
 				handled.Add(1)

@@ -436,16 +436,20 @@ func (s *Server) serveConn(conn transport.Conn) {
 	}, s.timers)
 }
 
-// blocking reports the message types whose handlers may park — lock
-// acquisitions wait on conflicts, and victim aborts may call the
-// decision server (a peer RPC) — and must therefore run off the read
-// loop. Everything else (freeze, release, decide, purge, stats) is
-// non-blocking and handled inline, in arrival order: that preserves the
-// FIFO semantics coordinators rely on when they fire-and-forget a
-// freeze and then issue the next request on the same flow.
-func blocking(t wire.MsgType) bool {
-	switch t {
-	case wire.TReadLockBatchReq, wire.TWriteLockBatchReq, wire.TVictimAbortReq:
+// blocking reports the requests whose handlers may park, which must
+// therefore run off the read loop: a lock batch with Wait set (it
+// parks on conflicting locks), read at its fixed offset without
+// decoding, and a victim abort (it may call the decision server, a
+// peer RPC). Everything else, no-wait lock batches included, never
+// parks and runs inline in arrival order, with no goroutine or closure
+// per request. That also preserves the FIFO semantics coordinators
+// rely on when they fire-and-forget a freeze and then issue the next
+// request on the same flow.
+func blocking(f *wire.FrameBuf) bool {
+	switch f.Type() {
+	case wire.TReadLockBatchReq, wire.TWriteLockBatchReq:
+		return wire.LockBatchWaits(f.Body())
+	case wire.TVictimAbortReq:
 		return true
 	}
 	return false

@@ -268,8 +268,8 @@ func TestServerConcurrentRequestsOneConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	// Issue 20 interleaved reads without waiting for responses, then
-	// collect: the per-request goroutines must answer all of them.
+	// Issue 20 pipelined reads without waiting for responses, then
+	// collect: every one of them must be answered.
 	for i := uint64(1); i <= 20; i++ {
 		req := wire.ReadLockBatchReq{Txn: i, Upper: ts(int64(100 + i)), Keys: []string{"k"}}
 		fb := wire.GetFrameBuf()

@@ -25,9 +25,22 @@
 // touching the bytes. Recv returns an owned buffer that the receiver
 // must Release once done with the frame and everything borrowed from
 // its body (see package wire).
+//
+// # Receive buffering
+//
+// A TCP connection reads through a bufio.Reader of the default 4 KiB,
+// allocated once when the connection is dialed or accepted. Recv
+// decodes the next frame from that buffer, so a frame costs at most one
+// read syscall and a burst of pipelined frames shares one. A body
+// larger than the buffer is read straight into the pooled FrameBuf, not
+// copied through the buffer. The read deadline is armed before each
+// Recv as before, but it only bounds socket reads: a frame that is
+// already buffered is returned even after the deadline has passed. The
+// in-memory transport delivers whole frames and has nothing to buffer.
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -515,7 +528,7 @@ func (t TCP) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %q: %w", addr, err)
 	}
-	return &tcpConn{c: nc, readTimeout: t.ReadTimeout, writeTimeout: t.WriteTimeout}, nil
+	return newTCPConn(nc, t.ReadTimeout, t.WriteTimeout), nil
 }
 
 // Listen implements Network.
@@ -538,7 +551,7 @@ func (l *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tcpConn{c: nc, readTimeout: l.readTimeout, writeTimeout: l.writeTimeout}, nil
+	return newTCPConn(nc, l.readTimeout, l.writeTimeout), nil
 }
 
 func (l *tcpListener) Close() error { return l.l.Close() }
@@ -553,6 +566,13 @@ type tcpConn struct {
 	rm           sync.Mutex
 	// vec is the reusable iovec backing for SendBatch, guarded by wm.
 	vec net.Buffers
+	// r buffers the socket's inbound bytes, guarded by rm: one read
+	// syscall fills it with as many pipelined frames as have arrived.
+	r *bufio.Reader
+}
+
+func newTCPConn(nc net.Conn, readTimeout, writeTimeout time.Duration) *tcpConn {
+	return &tcpConn{c: nc, readTimeout: readTimeout, writeTimeout: writeTimeout, r: bufio.NewReader(nc)}
 }
 
 var _ Conn = (*tcpConn)(nil)
@@ -606,7 +626,7 @@ func (c *tcpConn) Recv() (*wire.FrameBuf, error) {
 		_ = c.c.SetReadDeadline(time.Now().Add(c.readTimeout))
 	}
 	fb := wire.GetFrameBuf()
-	if err := wire.ReadFrame(c.c, fb); err != nil {
+	if err := wire.ReadFrame(c.r, fb); err != nil {
 		fb.Release()
 		return nil, wrapTimeout(err)
 	}

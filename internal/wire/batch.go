@@ -13,6 +13,21 @@ import (
 // They are the only lock, freeze and release messages: a single-key
 // step, such as an interactive write, is a batch of one.
 
+// lockBatchWaitOffset is where both lock-batch requests carry their
+// Wait flag: right after Txn and Epoch, ahead of every variable-length
+// field, so a server can tell whether a request may park before it
+// decodes anything.
+const lockBatchWaitOffset = 16
+
+// LockBatchWaits reports the Wait flag of a ReadLockBatchReq or
+// WriteLockBatchReq body by reading its fixed offset, with no decoding
+// and no allocation. A body too short to hold the flag reads as
+// waiting: it is truncated, and a caller routing it as a request that
+// may park loses nothing — the full decode rejects it.
+func LockBatchWaits(body []byte) bool {
+	return len(body) <= lockBatchWaitOffset || body[lockBatchWaitOffset] != 0
+}
+
 // WriteLockItem is one key of a WriteLockBatchReq: the requested lock
 // set and the pending value to buffer.
 type WriteLockItem struct {
@@ -32,8 +47,8 @@ type WriteLockItem struct {
 type WriteLockBatchReq struct {
 	Txn         uint64
 	Epoch       uint64
-	DecisionSrv string
 	Wait        bool
+	DecisionSrv string
 	Items       []WriteLockItem
 }
 
@@ -42,8 +57,8 @@ func (m WriteLockBatchReq) AppendTo(buf []byte) []byte {
 	e := Encoder{buf: buf}
 	e.U64(m.Txn)
 	e.U64(m.Epoch)
-	e.Str(m.DecisionSrv)
 	e.Bool(m.Wait)
+	e.Str(m.DecisionSrv)
 	e.I32(int32(len(m.Items)))
 	for _, it := range m.Items {
 		e.Str(it.Key)
@@ -56,7 +71,7 @@ func (m WriteLockBatchReq) AppendTo(buf []byte) []byte {
 // DecodeWriteLockBatchReq deserializes a WriteLockBatchReq.
 func DecodeWriteLockBatchReq(b []byte) (WriteLockBatchReq, error) {
 	d := NewDecoder(b)
-	m := WriteLockBatchReq{Txn: d.U64(), Epoch: d.U64(), DecisionSrv: d.Str(), Wait: d.Bool()}
+	m := WriteLockBatchReq{Txn: d.U64(), Epoch: d.U64(), Wait: d.Bool(), DecisionSrv: d.Str()}
 	n := d.count()
 	for i := 0; i < n && d.err == nil; i++ {
 		m.Items = append(m.Items, WriteLockItem{Key: d.Str(), Set: d.Set(), Value: d.Blob()})
@@ -241,8 +256,8 @@ func DecodeReleaseBatchReq(b []byte) (ReleaseBatchReq, error) {
 type ReadLockBatchReq struct {
 	Txn   uint64
 	Epoch uint64
-	Upper timestamp.Timestamp
 	Wait  bool
+	Upper timestamp.Timestamp
 	Keys  []string
 }
 
@@ -251,8 +266,8 @@ func (m ReadLockBatchReq) AppendTo(buf []byte) []byte {
 	e := Encoder{buf: buf}
 	e.U64(m.Txn)
 	e.U64(m.Epoch)
-	e.TS(m.Upper)
 	e.Bool(m.Wait)
+	e.TS(m.Upper)
 	e.StrSlice(m.Keys)
 	return e.buf
 }
@@ -260,7 +275,7 @@ func (m ReadLockBatchReq) AppendTo(buf []byte) []byte {
 // DecodeReadLockBatchReq deserializes a ReadLockBatchReq.
 func DecodeReadLockBatchReq(b []byte) (ReadLockBatchReq, error) {
 	d := NewDecoder(b)
-	m := ReadLockBatchReq{Txn: d.U64(), Epoch: d.U64(), Upper: d.TS(), Wait: d.Bool(), Keys: d.StrSlice()}
+	m := ReadLockBatchReq{Txn: d.U64(), Epoch: d.U64(), Wait: d.Bool(), Upper: d.TS(), Keys: d.StrSlice()}
 	return m, d.Err()
 }
 

@@ -352,8 +352,8 @@ func TestBatchDecodersRejectHugeCounts(t *testing.T) {
 	var e Encoder
 	e.U64(1)       // txn
 	e.U64(0)       // epoch
-	e.Str("")      // decision server
 	e.Bool(false)  // wait
+	e.Str("")      // decision server
 	e.I32(1 << 30) // absurd item count
 	if _, err := DecodeWriteLockBatchReq(e.Bytes()); err == nil {
 		t.Fatal("huge item count not rejected")
@@ -375,5 +375,36 @@ func TestBatchDecodersRejectHugeCounts(t *testing.T) {
 	e3.I32(1 << 30)
 	if _, err := DecodeLogTailResp(e3.Bytes()); err == nil {
 		t.Fatal("huge record count not rejected")
+	}
+}
+
+// TestLockBatchWaitsFixedOffset pins the Wait flag of both lock-batch
+// requests at byte 16, ahead of every variable-length field, and checks
+// that LockBatchWaits reads it without allocating; a body too short to
+// hold the flag reads as waiting.
+func TestLockBatchWaitsFixedOffset(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	for i := 0; i < 200; i++ {
+		wait := i%2 == 0
+		w := WriteLockBatchReq{Txn: r.Uint64(), Epoch: r.Uint64(), DecisionSrv: randWord(r), Wait: wait,
+			Items: []WriteLockItem{{Key: randWord(r), Value: []byte("v")}}}
+		rd := ReadLockBatchReq{Txn: r.Uint64(), Epoch: r.Uint64(), Upper: randTS(r), Wait: wait, Keys: []string{randWord(r)}}
+		for _, body := range [][]byte{w.AppendTo(nil), rd.AppendTo(nil)} {
+			if got := LockBatchWaits(body); got != wait {
+				t.Fatalf("iteration %d: LockBatchWaits = %v, want %v", i, got, wait)
+			}
+			if (body[16] != 0) != wait {
+				t.Fatalf("iteration %d: Wait not at byte 16", i)
+			}
+		}
+	}
+	body := WriteLockBatchReq{Txn: 1, Wait: false}.AppendTo(nil)
+	for cut := 0; cut <= 16; cut++ {
+		if !LockBatchWaits(body[:cut]) {
+			t.Fatalf("%d-byte body reads as no-wait", cut)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = LockBatchWaits(body) }); allocs != 0 {
+		t.Fatalf("LockBatchWaits allocates %v", allocs)
 	}
 }

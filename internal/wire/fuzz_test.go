@@ -89,6 +89,20 @@ func FuzzDecodeMessages(f *testing.F) {
 			t.Fatalf("%s: nil message with nil error", dc.name)
 		}
 		_ = m.AppendTo(nil)
+		// The server routes lock batches by the fixed-offset flag before
+		// decoding: it must agree with the decoded Wait.
+		wait, isBatch := false, true
+		switch m := m.(type) {
+		case ReadLockBatchReq:
+			wait = m.Wait
+		case WriteLockBatchReq:
+			wait = m.Wait
+		default:
+			isBatch = false
+		}
+		if isBatch && LockBatchWaits(data) != wait {
+			t.Fatalf("%s: LockBatchWaits = %v, decoded Wait = %v", dc.name, !wait, wait)
+		}
 	})
 }
 
